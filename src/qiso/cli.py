@@ -16,6 +16,15 @@ from fractions import Fraction
 
 from .catalog import BUILDERS, build
 from .cqg import FAIL, PASS, SKIPPED, UNDECIDED
+from .rewrite import DegreeOverflow
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit code 3 (argparse itself uses 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 def _parse_theta(text: str) -> Fraction | None:
@@ -30,7 +39,7 @@ def _parse_theta(text: str) -> Fraction | None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qiso",
         description="Exact symbolic verification of quantum-symmetry computations.",
     )
@@ -58,9 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_member.add_argument("--theta", type=_parse_theta, default=None)
 
     return parser
-
-
-_STATUS_ORDER = {PASS: 0, SKIPPED: 0, UNDECIDED: 2, FAIL: 1}
 
 
 def _exit_code(statuses) -> int:
@@ -123,7 +129,13 @@ def _run_nf(args) -> int:
 
 def _run_member(args) -> int:
     sc = build(args.scenario, args.theta)
-    status, cert = sc.membership(args.expression)
+    try:
+        status, cert = sc.membership(args.expression)
+    except DegreeOverflow as exc:
+        # a cap that is too small leaves membership undecided, never failed
+        print(UNDECIDED)
+        print(f"note: {exc}", file=sys.stderr)
+        return 2
     print(status)
     if cert is not None:
         print(f"certificate: {cert}")
@@ -139,7 +151,7 @@ def main(argv=None) -> int:
         if args.command == "nf":
             return _run_nf(args)
         return _run_member(args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, DegreeOverflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -43,7 +43,8 @@ class BlockAlgebra:
     Basis monomials are exponent vectors; the monomial m stands for the
     normal-ordered product u_0^m0 ... u_{d-1}^m{d-1}.  ``bidegrees``
     optionally assigns each generator a weight vector for a two-sided torus
-    action (adjoints carry negated weights).
+    action (adjoints carry negated weights).  Powers ``c**k`` of the
+    commutation scalars are memoised per instance, keyed by (pair, k).
     """
 
     def __init__(self, names, comm=None, bidegrees=None):
@@ -55,6 +56,14 @@ class BlockAlgebra:
                 c = comm.get((a, b)) if comm else None
                 self.comm[(a, b)] = c if c is not None else Scalar.one()
         self.bidegrees = list(bidegrees) if bidegrees else None
+        self._comm_pows = {}
+
+    def _comm_pow(self, pair, k):
+        key = (pair, k)
+        p = self._comm_pows.get(key)
+        if p is None:
+            p = self._comm_pows[key] = self.comm[pair] ** k
+        return p
 
     # -- monomial interface -----------------------------------------------------
     def one_terms(self):
@@ -62,18 +71,18 @@ class BlockAlgebra:
 
     def mul_mono(self, m1, m2):
         phase = Scalar.one()
-        for (a, b), c in self.comm.items():
-            k = m1[b] * m2[a]
+        for pair in self.comm:
+            k = m1[pair[1]] * m2[pair[0]]
             if k:
-                phase = phase * c**k
+                phase = phase * self._comm_pow(pair, k)
         return [(phase, tuple(x + y for x, y in zip(m1, m2)))]
 
     def star_mono(self, m):
         phase = Scalar.one()
-        for (a, b), c in self.comm.items():
-            k = m[a] * m[b]
+        for pair in self.comm:
+            k = m[pair[0]] * m[pair[1]]
             if k:
-                phase = phase * c**k
+                phase = phase * self._comm_pow(pair, k)
         return phase, tuple(-x for x in m)
 
     def deg(self, m):

@@ -18,6 +18,11 @@ class TestNf:
         assert main(["nf", "circle", "P P P"]) == 0
         assert capsys.readouterr().out.strip() == "P"
 
+    def test_degree_overflow_is_usage_error(self, capsys):
+        assert main(["nf", "circle", "U U U U U U U U U"]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == "error: degree 9 input exceeds rewriting cap 8"
+
 
 class TestMember:
     def test_yes_prints_certificate(self, capsys):
@@ -32,6 +37,12 @@ class TestMember:
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["member", "torus", "W W"]) == 3
+
+    def test_degree_overflow_is_undecided(self, capsys):
+        assert main(["member", "circle", "U U U U U U U U U"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "UNDECIDED"
+        assert "cap 6" in captured.err
 
 
 class TestVerify:
@@ -50,4 +61,10 @@ class TestVerify:
     def test_bad_theta_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "circle", "--theta", "0.5x"])
-        assert exc.value.code == 2
+        assert exc.value.code == 3
+
+    def test_unknown_scenario_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "nosuch"])
+        assert exc.value.code == 3
+        assert "invalid choice: 'nosuch'" in capsys.readouterr().err
