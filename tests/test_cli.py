@@ -18,6 +18,14 @@ class TestNf:
         assert main(["nf", "circle", "P P P"]) == 0
         assert capsys.readouterr().out.strip() == "P"
 
+    def test_torus_word_to_scalar(self, capsys):
+        assert main(["nf", "torus", "V* U* V U"]) == 0
+        assert capsys.readouterr().out.strip() == "e(-t)"
+
+    def test_third_theta_exact_output(self, capsys):
+        assert main(["nf", "torus", "V U", "--theta=1/3"]) == 0
+        assert capsys.readouterr().out.strip() == "(-1 - e(1/3)) * U V"
+
     def test_degree_overflow_is_usage_error(self, capsys):
         assert main(["nf", "circle", "U U U U U U U U U"]) == 3
         err = capsys.readouterr().err.strip()
@@ -30,6 +38,16 @@ class TestMember:
         out = capsys.readouterr().out
         assert out.startswith("YES")
         assert "certificate:" in out
+
+    def test_torus_exact_certificate(self, capsys):
+        assert main(["member", "torus", "U V - e(t) V U"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "YES", "certificate: (-e(t)) r4"]
+
+    def test_sphere_exact_certificate(self, capsys):
+        assert main(["member", "sphere", "Q11 Q22 - Q22 Q11"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "YES", "certificate: r7 + (-1/2) r8 + (-1/2) r7"]
 
     def test_undecided_exit_code(self, capsys):
         assert main(["member", "torus", "U V - V U"]) == 2
