@@ -17,11 +17,10 @@ from .cqg import (
     SKIPPED,
     UNDECIDED,
     ActionSpec,
-    CheckResult,
     CQGPresentation,
     Report,
+    alpha_monomial,
     apply_antipode_to_relation,
-    bullet_product,
     canonical_set,
     check_coassoc,
     check_counit_antipode,
@@ -40,7 +39,7 @@ from .cqg import (
     star_close,
 )
 from .expr import parse_element
-from .freealg import Element, FreeAlgebra, TensorAlgebra, substitute, substitute_factors, tensor
+from .freealg import Element, FreeAlgebra, substitute, substitute_factors, tensor
 from .graded import (
     SIGMA,
     BlockAlgebra,
@@ -51,12 +50,12 @@ from .graded import (
     j_double,
     j_torus,
     oscillatory_integral,
-    pair,
     rieffel_product,
+    tau,
     twist_phase,
 )
 from .presfile import load_data
-from .rewrite import RuleSet, ideal_member, render_certificate
+from .rewrite import RuleSet, ideal_member, reduce_tensor, render_certificate
 from .scalars import Scalar, ThetaLin
 
 Frac = Fraction
@@ -111,16 +110,11 @@ class Scenario:
         return result.status, cert
 
 
-def _g(alg, name):
-    return alg.gen(name)
+def _compare_sets(report, name, mode, extract, expected):
+    """Check that the relations ``extract()`` returns are ``expected``."""
 
-
-def _sorted_renders(elems):
-    return canonical_set(elems)
-
-
-def _compare_sets(report, name, mode, got, expected):
     def check():
+        got = extract()
         if same_relation_set(got, expected):
             return PASS, f"{len(list(expected))} relations"
         got_r = canonical_set(got)
@@ -175,10 +169,9 @@ def build_circle_scenario() -> Scenario:
 
     def suite(report: Report):
         # the two product conditions force exactly the derived relation set
-        got = extract_relations(act, zs * z - one_c) + extract_relations(
-            act, z * zs - one_c
-        )
-        _compare_sets(report, "extracted-relations", "model", got, derived.relations)
+        _compare_sets(report, "extracted-relations", "model", lambda: (
+            extract_relations(act, zs * z - one_c) + extract_relations(act, z * zs - one_c)
+        ), derived.relations)
 
         # the unitary/projection generators live in the derived ideal
         Pd, Ud = A.star() * A, A + B
@@ -202,8 +195,6 @@ def build_circle_scenario() -> Scenario:
 
         # displayed coproducts of UP and UP_perp agree with the table
         rules2 = (sc.nf_rules, sc.nf_rules)
-        from .rewrite import reduce_tensor
-
         Pp = one_u - P
         d = upres.delta
         def product_coproducts():
@@ -217,8 +208,8 @@ def build_circle_scenario() -> Scenario:
 
         report.run("coproduct-of-products", "presentation", product_coproducts)
 
-        eps_solved = solve_counit(upres, cap=6)
         def counit_solution():
+            eps_solved = solve_counit(upres, cap=6)
             if all((eps_solved[n] - upres.counit[n]).is_zero() for n in ua.names):
                 return PASS, f"epsilon = {[(n, eps_solved[n].render()) for n in ua.names]}"
             return FAIL, "solved counit differs from the declared one"
@@ -226,15 +217,13 @@ def build_circle_scenario() -> Scenario:
         report.run("counit-solve", "presentation", counit_solution)
         check_counit_antipode(upres, cap=6, report=report)
 
-        report.add(
-            CheckResult(
-                "antipode-table", "presentation", SKIPPED,
-                "no antipode table closes on words in U and P: the candidate "
-                "kappa(U) = U* forces kappa(P) = U P U*, which is not expressible "
-                "as a generator image; the commutativity argument makes one "
-                "unnecessary",
-            )
-        )
+        report.run("antipode-table", "presentation", lambda: (
+            SKIPPED,
+            "no antipode table closes on words in U and P: the candidate "
+            "kappa(U) = U* forces kappa(P) = U P U*, which is not expressible "
+            "as a generator image; the commutativity argument makes one "
+            "unnecessary",
+        ))
 
         # classical model: generators satisfy the presentation, and the
         # derived coefficient relations hold with A = UP, B = UP_perp
@@ -268,14 +257,12 @@ def build_circle_scenario() -> Scenario:
             mu, mp = model["U"], model["P"]
             one_m = Element.unit(model_amb)
             mpp = one_m - mp
-            h = lambda x: tau_weighted(x, [Frac(1, 2), Frac(1, 2)])
+            h = lambda x: tau(x, [Frac(1, 2), Frac(1, 2)])
             lhs = mu * mpp * mu.star() * h(mpp)
             rhs = mpp * h(mp)
             if (lhs - rhs).is_zero():
                 return PASS, ""
             return FAIL, (lhs - rhs).render()
-
-        from .graded import tau as tau_weighted
 
         report.run("haar-consequence", "model", haar_consequence)
 
@@ -366,48 +353,37 @@ def build_sphere_scenario() -> Scenario:
     sc.nf_rules = None
 
     def suite(report: Report):
-        got = []
-        for r in commutators:
-            got.extend(extract_relations(act, r))
-        # alpha fixes the sphere relation; since the relation also holds in
-        # the codomain, rewrite the unit as sum_k x_k^2 (x) 1 before bucketing
-        ssum = sphere_rel + one_x
-        image = act.apply(ssum) - tensor(ssum, Element.unit(qa))
-        got.extend(extract_relations_of(image, act))
-        for i in range(3):
-            # the image of a selfadjoint generator must be selfadjoint
-            img = act.table[f"x{i + 1}"]
-            got.extend(extract_relations_of(img.star() - img, act))
-        _compare_sets(report, "extracted-relations", "presentation", got, golden.relations)
+        def extracted():
+            got = []
+            for r in commutators:
+                got.extend(extract_relations(act, r))
+            # alpha fixes the sphere relation; since the relation also holds in
+            # the codomain, rewrite the unit as sum_k x_k^2 (x) 1 before bucketing
+            ssum = sphere_rel + one_x
+            got.extend(extract_relations(act, act.apply(ssum) - tensor(ssum, Element.unit(qa))))
+            for i in range(3):
+                # the image of a selfadjoint generator must be selfadjoint
+                img = act.table[f"x{i + 1}"]
+                got.extend(extract_relations(act, img.star() - img))
+            return got
+
+        _compare_sets(report, "extracted-relations", "presentation", extracted, golden.relations)
 
         # every commutator of coefficients lies in the exchange ideal
-        gens = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
-        count = 0
-        failures = []
-        import time as _time
+        def coefficient_commutators():
+            gens = [(i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+            pairs = [(x, y) for a, x in enumerate(gens) for y in gens[a + 1:]]
+            failures = []
+            for x, y in pairs:
+                qx, qy = _sphere_q(qa, *x), _sphere_q(qa, *y)
+                if ideal_member(qx * qy - qy * qx, sc.member_relations, cap=2).status != "YES":
+                    failures.append((x, y))
+            detail = f"{len(pairs) - len(failures)}/{len(pairs)} commutators certified"
+            if failures:
+                return UNDECIDED, f"{detail}; unresolved {failures[:3]}"
+            return PASS, detail
 
-        t0 = _time.monotonic()
-        for a in range(9):
-            for b in range(a + 1, 9):
-                (i, k), (j, l) = gens[a], gens[b]
-                comm = (
-                    _sphere_q(qa, i, k) * _sphere_q(qa, j, l)
-                    - _sphere_q(qa, j, l) * _sphere_q(qa, i, k)
-                )
-                res = ideal_member(comm, sc.member_relations, cap=2)
-                count += 1
-                if res.status != "YES":
-                    failures.append((gens[a], gens[b]))
-        report.add(
-            CheckResult(
-                "coefficient-commutators",
-                "presentation",
-                PASS if not failures else UNDECIDED,
-                f"{count - len(failures)}/{count} commutators certified"
-                + (f"; unresolved {failures[:3]}" if failures else ""),
-                _time.monotonic() - t0,
-            )
-        )
+        report.run("coefficient-commutators", "presentation", coefficient_commutators)
 
         # antipode closure: the extracted set plus its antipode images equals
         # the full exchange family used above (plus unitarity/selfadjointness
@@ -416,7 +392,7 @@ def build_sphere_scenario() -> Scenario:
             base = []
             for r in commutators:
                 base.extend(extract_relations(act, r))
-            kap = [apply_antipode_to_relation(r, {k: v for k, v in kappa_elems.items()}, qa) for r in base]
+            kap = [apply_antipode_to_relation(r, kappa, qa) for r in base]
             combined = canonical_set(base + kap)
             target = canonical_set(sc.member_relations)
             if set(target) <= set(combined):
@@ -424,13 +400,12 @@ def build_sphere_scenario() -> Scenario:
             missing = [r for r in target if r not in combined]
             return FAIL, f"missing {missing[:3]}"
 
-        kappa_elems = {n: kappa[n] for n in qa.names}
         report.run("antipode-closure", "presentation", closure)
 
         # unitarity of the coefficient matrix modulo the relation set
         def build_rules():
             rels = list(golden.relations)
-            rels += [apply_antipode_to_relation(r, kappa_elems, qa) for r in golden.relations]
+            rels += [apply_antipode_to_relation(r, kappa, qa) for r in golden.relations]
             return RuleSet(qa, star_close(rels), cap=4)
 
         M = [[_sphere_q(qa, i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
@@ -440,7 +415,7 @@ def build_sphere_scenario() -> Scenario:
         def laplacian_oracle():
             import sympy
 
-            x, y, z, r = sympy.symbols("x y z r", real=True, positive=True)
+            x, y, z = sympy.symbols("x y z", real=True, positive=True)
             th, ph = sympy.symbols("th ph", real=True)
             subs = {
                 x: sympy.sin(th) * sympy.cos(ph),
@@ -474,21 +449,6 @@ def build_sphere_scenario() -> Scenario:
 
     sc._suite = suite
     return sc
-
-
-def extract_relations_of(image: Element, act: ActionSpec) -> list:
-    """Extraction of an already-applied action image (same bucketing as
-    :func:`extract_relations`)."""
-    from .rewrite import reduce_tensor
-
-    if act.rulesets[0] is not None:
-        image = reduce_tensor(image, (act.rulesets[0], None))
-    amb = image.ambient
-    q_amb = amb.factors[1]
-    buckets: dict = {}
-    for (am, qm), c in image.t.items():
-        buckets.setdefault(am, Element.zero(q_amb))._add_term(qm, c)
-    return [b for b in buckets.values() if not b.is_zero()]
 
 
 # ===========================================================================
@@ -536,10 +496,15 @@ _FAMILY_SUPPORT = {
 _NAMES8 = ["A1", "B1", "C1", "D1", "A2", "B2", "C2", "D2"]
 
 
+def _torus_phase(k, theta: Frac | None = None) -> Scalar:
+    """e(k t), specialized at ``theta`` when one is given."""
+    phase = Scalar.exponential(ThetaLin(0, k))
+    return phase.specialize(theta) if theta is not None else phase
+
+
 def torus_block(theta: Frac | None = None) -> BlockAlgebra:
     """The twisted torus with V U = e(-t) U V (so U V = e(t) V U)."""
-    lam_bar = Scalar.exponential(ThetaLin(0, -1))
-    blk = BlockAlgebra(["U", "V"], comm={(0, 1): lam_bar}, bidegrees=[(1, 0), (0, 1)])
+    blk = BlockAlgebra(["U", "V"], comm={(0, 1): _torus_phase(-1)}, bidegrees=[(1, 0), (0, 1)])
     return blk.specialize(theta) if theta is not None else blk
 
 
@@ -557,7 +522,7 @@ def eight_block_model(theta: Frac | None = None) -> DirectSum:
         bide = [_BIDEG[fam[0]], _BIDEG[fam[1]]]
         comm = None
         if k % 2 == 1:  # blocks 2, 4, 6, 8 are doubly twisted
-            comm = {(0, 1): Scalar.exponential(ThetaLin(0, -2))}
+            comm = {(0, 1): _torus_phase(-2)}
         blocks.append(BlockAlgebra(names, comm=comm, bidegrees=bide))
     ds = DirectSum(blocks, [f"block{k + 1}" for k in range(8)])
     return ds.specialize(theta) if theta is not None else ds
@@ -586,13 +551,7 @@ def matrix_m(elems: dict) -> list:
 
 def coproduct_table(alg: FreeAlgebra) -> dict:
     """The matrix coproduct on the eight families, in free tensor form."""
-    g = {n: alg.gen(n) for n in _NAMES8}
-    M = [
-        [g["A1"], g["A2"], g["C1"].star(), g["C2"].star()],
-        [g["B1"], g["B2"], g["D1"].star(), g["D2"].star()],
-        [g["C1"], g["C2"], g["A1"].star(), g["A2"].star()],
-        [g["D1"], g["D2"], g["B1"].star(), g["B2"].star()],
-    ]
+    M = matrix_m({n: alg.gen(n) for n in _NAMES8})
     positions = {  # generator -> (row, column) in M
         "A1": (0, 0), "A2": (0, 1), "B1": (1, 0), "B2": (1, 1),
         "C1": (2, 0), "C2": (2, 1), "D1": (3, 0), "D2": (3, 1),
@@ -627,14 +586,14 @@ def kappa_table(alg_or_elems) -> dict:
 EPSILON8 = {n: Scalar.rational(1 if n in ("A1", "B2") else 0) for n in _NAMES8}
 
 
-def torus_action(ds: DirectSum, elems: dict, theta: Frac | None = None) -> ActionSpec:
-    blk = torus_block(theta)
-    U, V = blk.gen("U"), blk.gen("V")
-    lam = Scalar.exponential(ThetaLin(0, 1))
-    if theta is not None:
-        lam = lam.specialize(theta)
-    one = Element.unit(blk)
-    rels = [
+def _torus_source(theta: Frac | None = None):
+    """The free torus source U, V and its six relations, oriented as the
+    homomorphism checks report them (U V = e(t) V U)."""
+    src = FreeAlgebra(["U", "V"])
+    U, V = src.gen("U"), src.gen("V")
+    one = Element.unit(src)
+    lam = _torus_phase(1, theta)
+    return src, [
         U * U.star() - one,
         U.star() * U - one,
         V * V.star() - one,
@@ -642,53 +601,31 @@ def torus_action(ds: DirectSum, elems: dict, theta: Frac | None = None) -> Actio
         U * V - V * U * lam,
         V.star() * U.star() - U.star() * V.star() * lam.conj(),
     ]
+
+
+def torus_action(elems: dict, theta: Frac | None = None) -> ActionSpec:
+    """The isometric action with coefficients ``elems`` (the eight families):
+    alpha(U) = U (x) A1 + V (x) B1 + U* (x) C1 + V* (x) D1, and alpha(V) the
+    same with A2, B2, C2, D2."""
+    blk = torus_block(theta)
+    U, V = blk.gen("U"), blk.gen("V")
     table = {
         "U": tensor(U, elems["A1"]) + tensor(V, elems["B1"])
         + tensor(U.star(), elems["C1"]) + tensor(V.star(), elems["D1"]),
         "V": tensor(U, elems["A2"]) + tensor(V, elems["B2"])
         + tensor(U.star(), elems["C2"]) + tensor(V.star(), elems["D2"]),
     }
-    src = FreeAlgebra(["U", "V"])
-    # re-express the relations over the free source for check_hom
-    fU, fV = src.gen("U"), src.gen("V")
-    fone = Element.unit(src)
-    src_rels = [
-        fU * fU.star() - fone,
-        fU.star() * fU - fone,
-        fV * fV.star() - fone,
-        fV.star() * fV - fone,
-        fU * fV - fV * fU * lam,
-        fV.star() * fU.star() - fU.star() * fV.star() * lam.conj(),
-    ]
-    ftable = {"U": table["U"], "V": table["V"]}
-    return ActionSpec(src, src_rels, ftable, rulesets=(None, None), name="torus")
-
-
-def ansatz_action(theta: Frac | None = None):
-    """Action of the free coefficient ansatz, for relation extraction."""
-    qa = FreeAlgebra(_NAMES8)
-    blk = torus_block(theta)
-    U, V = blk.gen("U"), blk.gen("V")
-    g = {n: qa.gen(n) for n in _NAMES8}
-    table = {
-        "U": tensor(U, g["A1"]) + tensor(V, g["B1"])
-        + tensor(U.star(), g["C1"]) + tensor(V.star(), g["D1"]),
-        "V": tensor(U, g["A2"]) + tensor(V, g["B2"])
-        + tensor(U.star(), g["C2"]) + tensor(V.star(), g["D2"]),
-    }
-    src = FreeAlgebra(["U", "V"])
-    act = ActionSpec(src, [], table, rulesets=(None, None), name="torus-ansatz")
-    return act, qa, blk
+    src, src_rels = _torus_source(theta)
+    return ActionSpec(src, src_rels, table, rulesets=(None, None), name="torus")
 
 
 def build_torus_scenario(theta: Frac | None = None) -> Scenario:
     sc = Scenario("torus", theta)
-    act, qa, blk = ansatz_action(theta)
+    free8 = FreeAlgebra(_NAMES8)
+    act = torus_action({n: free8.gen(n) for n in _NAMES8}, theta)  # the free ansatz
     sU, sV = act.source.gen("U"), act.source.gen("V")
     sone = Element.unit(act.source)
-    lam = Scalar.exponential(ThetaLin(0, 1))
-    if theta is not None:
-        lam = lam.specialize(theta)
+    lam = _torus_phase(1, theta)
 
     golden = {
         name: load_data(f"torus_{name}.pres", theta=theta)
@@ -697,7 +634,6 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
 
     ds = eight_block_model(theta)
     elems = family_elements(ds)
-    free8 = FreeAlgebra(_NAMES8)
     b_pres = CQGPresentation(
         algebra=free8,
         relations=star_close(
@@ -714,7 +650,7 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
         model_ambient=ds,
         name="torus",
     )
-    act0 = torus_action(ds, elems, theta)
+    act0 = torus_action(elems, theta)
 
     sc.parse_algebras = [free8, FreeAlgebra(["U", "V"])]
     sc.nf_algebra = sc.parse_algebras[1]
@@ -741,25 +677,22 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
         targets_sq = [(2, 0), (0, 2), (-2, 0), (0, -2)]
         targets_mix = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
-        got1 = extract_relations(act, sU.star() * sU - sone) + extract_relations(
-            act, sU * sU.star() - sone
-        )
-        _compare_sets(report, "extract-row1", "model", got1, golden["row1"].relations)
+        def unitarity(x):
+            return lambda: (extract_relations(act, x.star() * x - sone)
+                            + extract_relations(act, x * x.star() - sone))
 
-        got2 = extract_relations(act, sV.star() * sV - sone) + extract_relations(
-            act, sV * sV.star() - sone
-        )
-        _compare_sets(report, "extract-row2", "model", got2, golden["row2"].relations)
+        _compare_sets(report, "extract-row1", "model", unitarity(sU), golden["row1"].relations)
+        _compare_sets(report, "extract-row2", "model", unitarity(sV), golden["row2"].relations)
 
-        got3 = []
-        for expr in (sU.star() * sV, sV * sU.star(), sU * sV, sV * sU):
-            got3.extend(extract_relations(act, expr, targets=targets_sq))
-        _compare_sets(report, "extract-mixed", "model", got3, golden["mixed"].relations)
+        def mixed():
+            got = []
+            for expr in (sU.star() * sV, sV * sU.star(), sU * sV, sV * sU):
+                got.extend(extract_relations(act, expr, targets=targets_sq))
+            return got
 
-        got4 = extract_relations(act, sU * sV - sV * sU * lam, targets=targets_mix)
-        _compare_sets(
-            report, "extract-exchange", "model", got4, golden["exchange"].relations
-        )
+        _compare_sets(report, "extract-mixed", "model", mixed, golden["mixed"].relations)
+        _compare_sets(report, "extract-exchange", "model", lambda: extract_relations(
+            act, sU * sV - sV * sU * lam, targets=targets_mix), golden["exchange"].relations)
 
         # the eight-block model satisfies every golden relation
         def model_soundness():
@@ -815,8 +748,8 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
         report.run("block-projections", "model", projection_identities)
 
         # antipode on relations, evaluated in the model
-        kmodel = kappa_table(elems)
         def antipode_kills():
+            kmodel = kappa_table(elems)
             for i, r in enumerate(b_pres.relations):
                 img = apply_antipode_to_relation(r, kmodel, ds)
                 if not img.is_zero():
@@ -827,32 +760,19 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
 
         # isometry: the action preserves Laplacian eigenspaces, and the
         # surviving exponents show the expected dihedral pattern
-        lap = Laplacian()
-        monos = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
-        iso_rep = Report("iso")
-        check_isometry(act0, lap, monos, report=iso_rep)
-        def isometry():
-            bad = [r for r in iso_rep.results if r.status != PASS]
-            if bad:
-                return FAIL, f"{bad[0].name}: {bad[0].detail}"
-            return PASS, f"{len(iso_rep.results)} monomials"
-
-        report.run("isometry", "model", isometry)
+        _isometry(report, act0)
 
         def survival_pattern():
-            for (m, n) in monos:
+            for (m, n) in _MONOS3:
                 allowed = {
                     (m, n), (m, -n), (-m, n), (-m, -n),
                     (n, m), (n, -m), (-n, m), (-n, -m),
                 }
                 img = alpha_monomial(act0, m, n)
-                seen = {blk_deg for (blk_deg, _qm) in (
-                    (img.ambient.factors[0].degree_vec(am), qm) for (am, qm) in img.t
-                )}
-                seen = {tuple(d) for d in seen}
+                seen = {tuple(img.ambient.factors[0].degree_vec(am)) for (am, _qm) in img.t}
                 if not seen <= allowed:
                     return FAIL, f"alpha(U^{m} V^{n}) hits {sorted(seen - allowed)[:3]}"
-            return PASS, f"{len(monos)} monomials"
+            return PASS, f"{len(_MONOS3)} monomials"
 
         report.run("survival-pattern", "model", survival_pattern)
 
@@ -868,16 +788,7 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
             return PASS, "all 64 family pairs commute"
 
         report.run("half-parameter-degeneration", "model", theta_half)
-
-        def haar():
-            weights, unique = solve_haar_weights(
-                b_pres, degree=2, extra_words=block_projector_words(free8)
-            )
-            if unique and weights == [Frac(1, 8)] * 8:
-                return PASS, "unique invariant weights, 1/8 per block"
-            return FAIL, f"weights {weights}, unique={unique}"
-
-        report.run("haar-weights", "model", haar)
+        _block_haar(report, b_pres)
 
     sc._suite = suite
     return sc
@@ -894,16 +805,35 @@ def block_projector_words(alg: FreeAlgebra) -> list:
     return words
 
 
-def alpha_monomial(act: ActionSpec, m: int, n: int) -> Element:
-    amb = next(iter(act.table.values())).ambient
-    out = tensor(Element.unit(amb.factors[0]), Element.unit(amb.factors[1]))
-    for name, k in ((act.source.names[0], m), (act.source.names[1], n)):
-        base = act.table[name]
-        if k < 0:
-            base, k = base.star(), -k
-        for _ in range(k):
-            out = out * base
-    return out
+# the torus monomials U^m V^n with |m|, |n| <= 3
+_MONOS3 = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
+
+
+def _isometry(report: Report, act: ActionSpec):
+    """The per-monomial isometry checks of ``act``, run as one check."""
+
+    def isometry():
+        results = check_isometry(act, Laplacian(), _MONOS3).results
+        bad = [r for r in results if r.status != PASS]
+        if bad:
+            return FAIL, f"{bad[0].name}: {bad[0].detail}"
+        return PASS, f"{len(results)} monomials"
+
+    report.run("isometry", "model", isometry)
+
+
+def _block_haar(report: Report, b_pres: CQGPresentation):
+    """The Haar weights of the eight-family presentation are 1/8 per block."""
+
+    def haar():
+        weights, unique = solve_haar_weights(
+            b_pres, degree=2, extra_words=block_projector_words(b_pres.algebra)
+        )
+        if unique and weights == [Frac(1, 8)] * 8:
+            return PASS, "unique invariant weights, 1/8 per block"
+        return FAIL, f"weights {weights}, unique={unique}"
+
+    report.run("haar-weights", "model", haar)
 
 
 # ===========================================================================
@@ -922,24 +852,10 @@ def build_double_torus_scenario(theta: Frac | None = None) -> Scenario:
         rename={"A1": "A0", "B1": "B0", "A2": "C0", "B2": "D0"},
     )
     qalg = quotient.algebra
-    qmodel = quotient.model_ambient
 
     blk = torus_block(theta)
     U, V = blk.gen("U"), blk.gen("V")
-    lam = Scalar.exponential(ThetaLin(0, 1))
-    if theta is not None:
-        lam = lam.specialize(theta)
-    src = FreeAlgebra(["U", "V"])
-    fU, fV = src.gen("U"), src.gen("V")
-    fone = Element.unit(src)
-    src_rels = [
-        fU * fU.star() - fone,
-        fU.star() * fU - fone,
-        fV * fV.star() - fone,
-        fV.star() * fV - fone,
-        fU * fV - fV * fU * lam,
-        fV.star() * fU.star() - fU.star() * fV.star() * lam.conj(),
-    ]
+    src, src_rels = _torus_source(theta)
     m = quotient.model
     beta_table = {
         "U": tensor(U, m["A0"]) + tensor(V, m["B0"]),
@@ -991,22 +907,11 @@ def build_double_torus_scenario(theta: Frac | None = None) -> Scenario:
         check_coassoc(quotient, mode="model", report=report)
         check_counit_antipode(quotient, mode="model", report=report)
         check_hom(beta, report=report)
-
-        lap = Laplacian()
-        monos = [(m_, n_) for m_ in range(-3, 4) for n_ in range(-3, 4)]
-        iso_rep = Report("iso")
-        check_isometry(beta, lap, monos, report=iso_rep)
-        def isometry():
-            bad = [r for r in iso_rep.results if r.status != PASS]
-            if bad:
-                return FAIL, f"{bad[0].name}: {bad[0].detail}"
-            return PASS, f"{len(iso_rep.results)} monomials"
-
-        report.run("isometry", "model", isometry)
+        _isometry(report, beta)
 
         # holomorphicity: beta never mixes U, V with their adjoints
         def holomorphic():
-            for (m_, n_) in monos:
+            for (m_, n_) in _MONOS3:
                 if m_ < 0 or n_ < 0:
                     continue
                 img = alpha_monomial(beta, m_, n_)
@@ -1042,9 +947,6 @@ def build_deformation_scenario(theta: Frac | None = None) -> Scenario:
     sc.member_relations = torus.member_relations
     sc.member_cap = torus.member_cap
 
-    def maybe_spec(s: Scalar) -> Scalar:
-        return s.specialize(theta) if theta is not None else s
-
     def suite(report: Report):
         # the numerical oscillatory integral fixes the sign convention, and
         # the symbolic twisted product reproduces it on the same instances
@@ -1060,7 +962,7 @@ def build_deformation_scenario(theta: Frac | None = None) -> Scenario:
                 th = rng.uniform(0.1, 0.9)
                 Jn = [[0.0, -th / 2.0], [th / 2.0, 0.0]]
                 a = [sum(p[k] * Jn[k][i] for k in range(2)) for i in range(2)]
-                val, err = oscillatory_integral(a, q)
+                val, _err = oscillatory_integral(a, q)
                 want = twist_phase(p, J, q).numeric(th)
                 if abs(val - want) > 1e-6:
                     return FAIL, f"p={p}, q={q}, theta={th:.3f}: |{val} - {want}|"
@@ -1083,8 +985,7 @@ def build_deformation_scenario(theta: Frac | None = None) -> Scenario:
             if not (got - expect).is_zero():
                 return FAIL, f"commutation {got.render()} != {expect.render()}"
             U, V = c2.gen("U"), c2.gen("V")
-            lam = Scalar.exponential(ThetaLin(0, 1))
-            lhs = rieffel_product(U, V, J) - rieffel_product(V, U, J) * lam
+            lhs = rieffel_product(U, V, J) - rieffel_product(V, U, J) * _torus_phase(1)
             if not lhs.is_zero():
                 return FAIL, f"U x V - e(t) V x U = {lhs.render()}"
             return PASS, "V U = e(-t) U V after deformation"
@@ -1094,10 +995,11 @@ def build_deformation_scenario(theta: Frac | None = None) -> Scenario:
         # deforming the undeformed eight-block sum by the doubled matrix
         # reproduces the twisted eight-block model blockwise
         def blocks_deform():
-            deformed = deform_sum(ds0, j_double(J), use_bidegrees=True)
+            deformed = deform_sum(ds0, j_double(J))
+            twisted = eight_block_model()
             for k in range(8):
                 got = deformed.blocks[k].comm.get((0, 1), Scalar.one())
-                want = eight_block_model().blocks[k].comm.get((0, 1), Scalar.one())
+                want = twisted.blocks[k].comm.get((0, 1), Scalar.one())
                 if not (got - want).is_zero():
                     return FAIL, (
                         f"block {k + 1}: {got.render()} != {want.render()}"
@@ -1109,35 +1011,22 @@ def build_deformation_scenario(theta: Frac | None = None) -> Scenario:
         # the twisted product of the undeformed model realises the same
         # commutation phases generator by generator
         def odot_phases():
+            twisted = eight_block_model()
             for k in range(8):
                 x = ds0.block_gen(k, 0)
                 y = ds0.block_gen(k, 1)
-                want = eight_block_model().blocks[k].comm.get((0, 1), Scalar.one())
+                want = twisted.blocks[k].comm.get((0, 1), Scalar.one())
                 lhs = odot(y, x, J) - odot(x, y, J) * want
-                if not maybe_spec_elem(lhs).is_zero():
+                if theta is not None:
+                    lhs = lhs.specialize(theta)
+                if not lhs.is_zero():
                     return FAIL, f"block {k + 1}"
             return PASS, "16 generator pairs"
-
-        def maybe_spec_elem(e):
-            return e.specialize(theta) if theta is not None else e
 
         report.run("twisted-product-phases", "model", odot_phases)
 
         check_deformed_hom(act0, J, degree_bound=3, report=report)
-
-        def haar():
-            weights, unique = solve_haar_weights(
-                b_pres,
-                degree=2,
-                extra_words=block_projector_words(b_pres.algebra),
-            )
-            ok = unique and weights == [Frac(1, 8)] * 8
-            if not ok:
-                return FAIL, f"weights {weights}, unique={unique}"
-            return PASS, "unique invariant weights, 1/8 per block"
-
-        report.run("haar-weights", "model", haar)
-
+        _block_haar(report, b_pres)
         check_haar_twist_invariance(
             ds_theta, [Frac(1, 8)] * 8, J, degree_bound=3, report=report
         )
@@ -1164,9 +1053,7 @@ def nf_model_coherence(comm_exponent: int, theta: Frac | None = None,
     Returns the number of words checked; raises AssertionError on the first
     disagreement.
     """
-    mu = Scalar.exponential(ThetaLin(0, comm_exponent))
-    if theta is not None:
-        mu = mu.specialize(theta)
+    mu = _torus_phase(comm_exponent, theta)
     alg = FreeAlgebra(["U", "V"])
     U, V = alg.gen("U"), alg.gen("V")
     one = Element.unit(alg)

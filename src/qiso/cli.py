@@ -142,9 +142,20 @@ def _run_member(args) -> int:
     return 0 if status == "YES" else 2
 
 
+def _glue_theta(argv):
+    """``--theta VALUE`` as ``--theta=VALUE``, so that a negative value such
+    as -1/3 is not read as an option."""
+    out = []
+    it = iter(argv)
+    for arg in it:
+        value = next(it, None) if arg == "--theta" else None
+        out.append(arg if value is None else f"--theta={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_theta(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "verify":
             return _run_verify(args)

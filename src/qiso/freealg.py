@@ -28,16 +28,13 @@ from .scalars import Scalar, join_signed
 class FreeAlgebra:
     """Free *-algebra on named generators.
 
-    ``selfadjoint`` generators satisfy g* = g at the level of words.  An
-    optional ``bidegrees`` map (name -> int tuple) assigns torus weights to
-    generators; adjoint letters carry the negated weight.
+    ``selfadjoint`` generators satisfy g* = g at the level of words.
     """
 
-    def __init__(self, names, selfadjoint=(), bidegrees=None):
+    def __init__(self, names, selfadjoint=()):
         self.names = list(names)
         self.selfadjoint = set(selfadjoint)
         self.index = {n: i for i, n in enumerate(self.names)}
-        self.bidegrees = dict(bidegrees) if bidegrees else None
 
     # -- monomial interface --------------------------------------------------
     def one_terms(self):
@@ -77,24 +74,6 @@ class FreeAlgebra:
 
     def gen(self, name, star=False) -> "Element":
         return Element(self, {(self.letter(name, star),): Scalar.one()})
-
-    def gens(self):
-        return [self.gen(n) for n in self.names]
-
-    def word_bidegree(self, w):
-        assert self.bidegrees is not None
-        tot = None
-        for let in w:
-            gi, st = divmod(let, 2)
-            b = self.bidegrees[self.names[gi]]
-            if tot is None:
-                tot = [0] * len(b)
-            for i, v in enumerate(b):
-                tot[i] += -v if st else v
-        if tot is None:
-            k = len(next(iter(self.bidegrees.values())))
-            tot = [0] * k
-        return tuple(tot)
 
     def order_key(self, w):
         """Graded-lexicographic term order key (bigger = later)."""

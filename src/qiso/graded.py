@@ -200,17 +200,6 @@ class Laplacian:
             out._add_term(m, c * Scalar.rational(self.eigenvalue(amb.degree_vec(m))))
         return out
 
-    def eigenspace(self, block: BlockAlgebra, ev, radius=None) -> list:
-        """All monomials of the block with the given eigenvalue."""
-        assert block.d == 2
-        r = radius if radius is not None else int(abs(ev)) + 1
-        out = []
-        for m in range(-r, r + 1):
-            for n in range(-r, r + 1):
-                if self.eigenvalue((m, n)) == ev:
-                    out.append((m, n))
-        return out
-
 
 # ---------------------------------------------------------------------------
 # deformation matrices and twisted products
@@ -316,80 +305,14 @@ def deform_block(block: BlockAlgebra, J, use_bidegrees=False) -> BlockAlgebra:
     return BlockAlgebra(block.names, comm, block.bidegrees)
 
 
-def deform_sum(ds: DirectSum, J, use_bidegrees=True) -> DirectSum:
-    return DirectSum(
-        [deform_block(b, J, use_bidegrees) for b in ds.blocks], ds.block_names
-    )
-
-
-class DeformedFreeAlgebra:
-    """Free *-algebra whose words multiply with a bidegree phase twist.
-
-    Words denote twisted ordered products of the generators; concatenation
-    therefore picks up e(SIGMA * bideg(w1).J bideg(w2)).
-    """
-
-    def __init__(self, base, J):
-        self.base = base
-        self.J = J
-        self.names = base.names
-        self.selfadjoint = base.selfadjoint
-        self.index = base.index
-        self.bidegrees = base.bidegrees
-
-    def one_terms(self):
-        return self.base.one_terms()
-
-    def mul_mono(self, a, b):
-        ph = twist_phase(self.base.word_bidegree(a), self.J, self.base.word_bidegree(b))
-        return [(ph, a + b)]
-
-    def star_mono(self, w):
-        return self.base.star_mono(w)
-
-    def deg(self, w):
-        return len(w)
-
-    def render_mono(self, w):
-        return self.base.render_mono(w)
-
-    def letter(self, name, star=False):
-        return self.base.letter(name, star)
-
-    def gen(self, name, star=False) -> Element:
-        return Element(self, {(self.base.letter(name, star),): Scalar.one()})
-
-    def word_bidegree(self, w):
-        return self.base.word_bidegree(w)
+def deform_sum(ds: DirectSum, J) -> DirectSum:
+    """Every block deformed on its bidegrees."""
+    return DirectSum([deform_block(b, J, use_bidegrees=True) for b in ds.blocks], ds.block_names)
 
 
 # ---------------------------------------------------------------------------
-# convolution by torus characters, trace, invariant functionals
+# trace, invariant functionals
 # ---------------------------------------------------------------------------
-
-
-def convolve_left(u, x: Element) -> Element:
-    """Left slot of the two-sided torus action: phase e(chi_L . u) per monomial."""
-    return _convolve(u, x, 0)
-
-
-def convolve_right(u, x: Element) -> Element:
-    """Right slot of the two-sided torus action: phase e(chi_R . u)."""
-    return _convolve(u, x, 1)
-
-
-def _convolve(u, x, side):
-    amb = x.ambient
-    out = Element.zero(amb)
-    for m, c in x.t.items():
-        bd = amb.bidegree(m)
-        half = len(bd) // 2
-        chi = bd[:half] if side == 0 else bd[half:]
-        expo = ThetaLin(0, 0)
-        for ci, ui in zip(chi, u):
-            expo = expo + (ui if isinstance(ui, ThetaLin) else ThetaLin(ui)) * ci
-        out._add_term(m, c * Scalar.exponential(expo))
-    return out
 
 
 def tau(x: Element, weights=None) -> Scalar:

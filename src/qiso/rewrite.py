@@ -204,10 +204,6 @@ class RuleSet:
             return nf, rep
         return nf
 
-    def is_confluent_for(self, deg: int) -> bool:
-        """All ambiguities among words of length <= deg were resolved."""
-        return deg <= self.cap and not self.capped
-
 
 def _mul_word(elem: Element, u, v, alg) -> Element:
     if not u and not v:

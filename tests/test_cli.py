@@ -22,6 +22,10 @@ class TestNf:
         assert main(["nf", "torus", "V* U* V U"]) == 0
         assert capsys.readouterr().out.strip() == "e(-t)"
 
+    def test_negative_theta_after_a_space(self, capsys):
+        assert main(["nf", "torus", "V U", "--theta", "-1/3"]) == 0
+        assert capsys.readouterr().out.strip() == "e(1/3) * U V"
+
     def test_third_theta_exact_output(self, capsys):
         assert main(["nf", "torus", "V U", "--theta=1/3"]) == 0
         assert capsys.readouterr().out.strip() == "(-1 - e(1/3)) * U V"
