@@ -760,7 +760,7 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
 
         # isometry: the action preserves Laplacian eigenspaces, and the
         # surviving exponents show the expected dihedral pattern
-        _isometry(report, act0)
+        check_isometry(act0, Laplacian(), _MONOS3, report=report)
 
         def survival_pattern():
             for (m, n) in _MONOS3:
@@ -807,19 +807,6 @@ def block_projector_words(alg: FreeAlgebra) -> list:
 
 # the torus monomials U^m V^n with |m|, |n| <= 3
 _MONOS3 = [(m, n) for m in range(-3, 4) for n in range(-3, 4)]
-
-
-def _isometry(report: Report, act: ActionSpec):
-    """The per-monomial isometry checks of ``act``, run as one check."""
-
-    def isometry():
-        results = check_isometry(act, Laplacian(), _MONOS3).results
-        bad = [r for r in results if r.status != PASS]
-        if bad:
-            return FAIL, f"{bad[0].name}: {bad[0].detail}"
-        return PASS, f"{len(results)} monomials"
-
-    report.run("isometry", "model", isometry)
 
 
 def _block_haar(report: Report, b_pres: CQGPresentation):
@@ -907,7 +894,7 @@ def build_double_torus_scenario(theta: Frac | None = None) -> Scenario:
         check_coassoc(quotient, mode="model", report=report)
         check_counit_antipode(quotient, mode="model", report=report)
         check_hom(beta, report=report)
-        _isometry(report, beta)
+        check_isometry(beta, Laplacian(), _MONOS3, report=report)
 
         # holomorphicity: beta never mixes U, V with their adjoints
         def holomorphic():

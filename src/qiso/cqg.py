@@ -15,6 +15,7 @@ Every check runs in one of two modes:
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .freealg import (
     substitute_factors,
     tensor,
 )
-from .graded import DirectSum, collapse_phase, j_double, rieffel_product, tau, twist_phase
+from .graded import DirectSum, block_diag, collapse_phase, j_double, rieffel_product, tau, twist_phase
 from .rewrite import RuleSet, reduce_tensor
 from .scalars import Scalar, ThetaLin
 
@@ -251,24 +252,22 @@ def alpha_monomial(act: ActionSpec, m: int, n: int) -> Element:
 
 
 def check_isometry(act: ActionSpec, laplacian, monomials, report: Report | None = None) -> Report:
-    """Every source monomial in the image of an eigenvector has the same
-    eigenvalue.  The source factor must be a graded model."""
+    """One ``isometry`` check: every source monomial in the image of an
+    eigenvector has the same eigenvalue.  The source factor must be a graded
+    model."""
     report = report or Report(f"isometry:{act.name}")
     a_amb = next(iter(act.table.values())).ambient.factors[0]
 
-    for m, n in monomials:
-        def one(m=m, n=n):
+    def isometry():
+        for m, n in monomials:
             ev = laplacian.eigenvalue((m, n))
-            img = alpha_monomial(act, m, n)
-            bad = []
-            for (am, qm) in img.t:
-                if laplacian.eigenvalue(a_amb.degree_vec(am)) != ev:
-                    bad.append(a_amb.render_mono(am))
+            bad = [a_amb.render_mono(am) for (am, _qm) in alpha_monomial(act, m, n).t
+                   if laplacian.eigenvalue(a_amb.degree_vec(am)) != ev]
             if bad:
-                return FAIL, f"eigenvalue not preserved on {bad}"
-            return PASS, ""
+                return FAIL, f"isometry[{m},{n}]: eigenvalue not preserved on {bad}"
+        return PASS, f"{len(monomials)} monomials"
 
-        report.run(f"isometry[{m},{n}]", "model", one)
+    report.run("isometry", "model", isometry)
     return report
 
 
@@ -429,22 +428,14 @@ def check_counit_antipode(P: CQGPresentation, cap: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# counit solving (for presentations whose table is not given)
+# exact rational elimination, and counit solving for presentations without a table
 # ---------------------------------------------------------------------------
 
 
 def _scalar_coords(scalars):
     """Decompose Scalars into exact rational coordinate vectors on a common
     basis of (formal exponent, cyclotomic power-basis index) pairs."""
-    # common cyclotomic conductor
-    ns = [1]
-    for s in scalars:
-        for cy in s.terms.values():
-            ns.append(cy.n)
-    N = 1
-    for n in ns:
-        g = _gcd(N, n)
-        N = N // g * n
+    N = math.lcm(*(cy.n for s in scalars for cy in s.terms.values()))
     keys = []
     seen = {}
     rows = []
@@ -460,12 +451,6 @@ def _scalar_coords(scalars):
                     row[seen[key]] = row.get(seen[key], Frac(0)) + v
         rows.append(row)
     return [[row.get(j, Frac(0)) for j in range(len(keys))] for row in rows]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _solve_rational(rows, rhs):
@@ -492,7 +477,7 @@ def _solve_rational(rows, rhs):
             break
     for i in range(r, len(m)):
         if m[i][-1] != 0:
-            raise ValueError("inconsistent counit system")
+            raise ValueError("inconsistent linear system")
     unique = len(pivots) == ncols
     sol = [Frac(0)] * ncols
     for i, c in enumerate(pivots):
@@ -667,24 +652,15 @@ def hopf_quotient(P: CQGPresentation, killed, rename: dict | None = None) -> CQG
 # ---------------------------------------------------------------------------
 
 
-def bullet_product(x: Element, y: Element, J, Jt) -> Element:
-    """(a (x) q) bullet_J (b (x) r) = (a x_J b) (x) (q twisted by Jtilde r)."""
-    amb = x.ambient
-    a_amb, q_amb = amb.factors
-    out = Element.zero(amb)
-    for (a1, q1), c1 in x.t.items():
-        p = a_amb.degree_vec(a1)
-        bd1 = q_amb.bidegree(q1)
-        for (a2, q2), c2 in y.t.items():
-            c = (
-                c1
-                * c2
-                * twist_phase(p, J, a_amb.degree_vec(a2))
-                * twist_phase(bd1, Jt, q_amb.bidegree(q2))
-            )
-            for pc, pm in amb.mul_mono((a1, q1), (a2, q2)):
-                out._add_term(pm, c * pc)
-    return out
+def bullet_product(x: Element, y: Element, J) -> Element:
+    """(a (x) q) bullet_J (b (x) r) = (a x_J b) (x) (q twisted by Jtilde r):
+    the Rieffel product for J (+) Jtilde on the source degree followed by
+    the target bidegree."""
+    a_amb, q_amb = x.ambient.factors
+    return rieffel_product(
+        x, y, block_diag(J, j_double(J)),
+        grading=lambda m: a_amb.degree_vec(m[0]) + q_amb.bidegree(m[1]),
+    )
 
 
 def check_deformed_hom(act: ActionSpec, J, degree_bound: int = 3,
@@ -693,7 +669,6 @@ def check_deformed_hom(act: ActionSpec, J, degree_bound: int = 3,
     componentwise degree <= degree_bound (model mode, exact)."""
     report = report or Report(f"deformed-hom:{act.name}")
     a_amb = next(iter(act.table.values())).ambient.factors[0]
-    Jt = j_double(J)
     rng = range(-degree_bound, degree_bound + 1)
     monos = [(m, n) for m in rng for n in rng]
 
@@ -705,7 +680,7 @@ def check_deformed_hom(act: ActionSpec, J, degree_bound: int = 3,
             aa = cache[(m1, n1)]
             for (m2, n2) in monos:
                 b = a_amb.monomial((m2, n2))
-                lhs = bullet_product(aa, cache[(m2, n2)], J, Jt)
+                lhs = bullet_product(aa, cache[(m2, n2)], J)
                 ab = rieffel_product(a, b, J)
                 rhs = Element.zero(aa.ambient)
                 for mono, c in ab.t.items():
@@ -757,7 +732,6 @@ def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
     """
     report = report or Report("twist-identities")
     a_amb, q_amb = next(iter(act.table.values())).ambient.factors
-    Jt = j_double(J)
     rng = range(-degree_bound, degree_bound + 1)
     monos = [(m, n) for m in rng for n in rng]
 
@@ -828,7 +802,7 @@ def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
         alpha_cache = alphas()
         for (m1, n1) in monos:
             for (m2, n2) in monos:
-                lhs = bullet_product(alpha_cache[(m1, n1)], alpha_cache[(m2, n2)], J, Jt)
+                lhs = bullet_product(alpha_cache[(m1, n1)], alpha_cache[(m2, n2)], J)
                 rhs = Element.zero(lhs.ambient)
                 for (am1, qm1), c1 in alpha_cache[(m1, n1)].t.items():
                     x1 = Element(q_amb, {qm1: Scalar.one()})
@@ -910,21 +884,19 @@ def check_haar_twist_invariance(model_ambient: DirectSum, weights, J,
     return report
 
 
-#: The generic parameter value at which the Haar system's rank is probed.
-HAAR_THETA_SAMPLE = 0.2357022603955158
-
-
 def solve_haar_weights(P: CQGPresentation, degree: int = 2, extra_words=()):
     """Solve the right-invariance equations (id (x) h) Delta(x) = h(x) 1 for
     per-block weights over words of length <= ``degree`` in the generators.
 
-    The linear system is assembled exactly; a numerical evaluation at a
-    generic parameter value determines the solution-space dimension, and the
-    returned candidate is then verified exactly against every equation.
-    Returns (weights, unique).
+    The linear system is assembled and solved exactly: every Scalar
+    coefficient splits into rational coordinates, one equation per
+    (exponent of e(s*t), power-basis index), since the e(s*t) are independent
+    and the power basis is a Q-basis.  Returns (weights, unique): Fraction
+    weights summing to 1, and whether the exact rank equals the number of
+    blocks.  When the weights are not unique, this is one exact solution with
+    the free weights set to 0 (the suites report a non-unique answer as FAIL).
+    Raises ValueError when the system is inconsistent.
     """
-    import numpy as np
-
     ds = P.model_ambient
     assert isinstance(ds, DirectSum)
     nblocks = len(ds.blocks)
@@ -941,7 +913,7 @@ def solve_haar_weights(P: CQGPresentation, degree: int = 2, extra_words=()):
         words.extend(frontier)
     words.extend(extra_words)
 
-    # linear forms in the weights: list of (dict block -> Scalar, Scalar const)
+    # linear forms in the weights: one dict block -> Scalar per equation
     forms = []
     for w in words:
         x_model = substitute(w, P.model)
@@ -975,29 +947,8 @@ def solve_haar_weights(P: CQGPresentation, degree: int = 2, extra_words=()):
                     coeffs[k] = c
             if coeffs:
                 forms.append(coeffs)
-    # normalisation
     rows = []
     for coeffs in forms:
-        rows.append([coeffs.get(k, Scalar.zero()) for k in range(nblocks)])
-    A = np.array(
-        [[c.numeric(HAAR_THETA_SAMPLE) for c in row] for row in rows] + [[1.0] * nblocks],
-        dtype=complex,
-    )
-    b = np.zeros(len(rows) + 1, dtype=complex)
-    b[-1] = 1.0
-    sol, _res, rank, _sv = np.linalg.lstsq(A, b, rcond=None)
-    unique = rank == nblocks
-    # snap to rationals with small denominators and verify exactly
-    cand = [Frac(round(float(sol[k].real) * 10080), 10080) for k in range(nblocks)]
-    ok = sum(cand) == 1
-    if ok:
-        for coeffs in forms:
-            acc = Scalar.zero()
-            for k, c in coeffs.items():
-                acc = acc + c * Scalar.rational(cand[k])
-            if not acc.is_zero():
-                ok = False
-                break
-    if not ok:
-        raise ValueError("invariance system has no exactly verifiable rational solution")
-    return cand, unique
+        rows.extend(zip(*_scalar_coords([coeffs.get(k, Scalar.zero()) for k in range(nblocks)])))
+    rows.append([Frac(1)] * nblocks)
+    return _solve_rational(rows, [Frac(0)] * (len(rows) - 1) + [Frac(1)])

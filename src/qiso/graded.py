@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .freealg import Element
 from .scalars import Scalar, ThetaLin
 
@@ -230,22 +228,15 @@ def j_torus() -> list:
     )
 
 
+def block_diag(A, B) -> list:
+    """The block-diagonal matrix A (+) B of ThetaLin entries."""
+    zero = ThetaLin(0, 0)
+    return [list(row) + [zero] * len(B) for row in A] + [[zero] * len(A) + list(row) for row in B]
+
+
 def j_double(J) -> list:
     """The doubled matrix (-J) (+) J acting on bidegrees."""
-    n = len(J)
-    zero = ThetaLin(0, 0)
-    out = []
-    for i in range(2 * n):
-        row = []
-        for j in range(2 * n):
-            if i < n and j < n:
-                row.append(-J[i][j])
-            elif i >= n and j >= n:
-                row.append(J[i - n][j - n])
-            else:
-                row.append(zero)
-        out.append(row)
-    return out
+    return block_diag([[-e for e in row] for row in J], J)
 
 
 def pair(p, J, q) -> ThetaLin:
@@ -364,6 +355,8 @@ def oscillatory_integral(a, b, eps_schedule=None):
     extrapolated over a decreasing eps schedule.  Returns (value, err)
     where err estimates the extrapolation error.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = len(a)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+
+import qiso
 
 from qiso.cqg import (
     FAIL,
@@ -10,6 +15,7 @@ from qiso.cqg import (
     CounitSolveError,
     NotHopfIdeal,
     Report,
+    _solve_rational,
     apply_antipode_to_relation,
     canonical_set,
     check_coassoc,
@@ -19,9 +25,11 @@ from qiso.cqg import (
     monic,
     same_relation_set,
     solve_counit,
+    solve_haar_weights,
     star_close,
 )
-from qiso.freealg import Element, FreeAlgebra, substitute_factors, tensor
+from qiso.freealg import Element, FreeAlgebra, substitute, substitute_factors, tensor
+from qiso.graded import BlockAlgebra, DirectSum, tau
 from qiso.presfile import load_data
 from qiso.scalars import Scalar, ThetaLin
 
@@ -133,6 +141,77 @@ class TestSolveCounit:
         eps = solve_counit(P, cap=6)
         assert (eps["U"] - Scalar.one()).is_zero()
         assert (eps["P"] - Scalar.one()).is_zero()
+
+
+def _circle_with_model():
+    """The circle's U, P presentation with its classical two-block model."""
+    P = load_data("circle.pres")
+    amb = DirectSum([BlockAlgebra(["z1"]), BlockAlgebra(["z2"])])
+    P.model = {"U": amb.block_gen(0, 0) + amb.block_gen(1, 0), "P": amb.block_unit(0)}
+    P.model_ambient = amb
+    return P
+
+
+def _invariance_residuals(P, weights, degree):
+    """(id (x) h) Delta(w) - h(w) 1 in the model, for every word w of length
+    <= degree in the generators and their adjoints."""
+    amb, alg = P.model_ambient, P.algebra
+    delta = {n: substitute_factors(d, [P.model, P.model]) for n, d in P.coproduct.items()}
+    letters = [alg.gen(n) for n in alg.names] + [alg.gen(n, star=True) for n in alg.names]
+    words = frontier = [Element.unit(alg)]
+    for _ in range(degree):
+        frontier = [w * l for w in frontier for l in letters]
+        words = words + frontier
+    for w in words:
+        lhs = Element.zero(amb)
+        for (m1, (k2, e2)), c in substitute(w, delta).t.items():
+            if not any(e2):
+                lhs._add_term(m1, c * Scalar.rational(weights[k2]))
+        yield lhs - Element.unit(amb) * tau(substitute(w, P.model), weights)
+
+
+class TestSolveHaarWeights:
+    def test_degree_zero_leaves_the_weights_free(self):
+        P = _circle_with_model()
+        weights, unique = solve_haar_weights(P, degree=0)
+        assert unique is False
+        assert all(isinstance(w, Fraction) for w in weights)
+        assert sum(weights) == 1
+        assert all(r.is_zero() for r in _invariance_residuals(P, weights, 0))
+
+    def test_degree_one_fixes_the_circle_weights(self):
+        P = _circle_with_model()
+        weights, unique = solve_haar_weights(P, degree=1)
+        assert unique is True
+        assert weights == [Fraction(1, 2), Fraction(1, 2)]
+        assert all(r.is_zero() for r in _invariance_residuals(P, weights, 2))
+
+    def test_inconsistent_system_raises(self):
+        F = Fraction
+        with pytest.raises(ValueError):
+            _solve_rational([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)])
+        # with P -> 0 no weights summing to 1 are invariant
+        P = _circle_with_model()
+        P.model["P"] = Element.zero(P.model_ambient)
+        with pytest.raises(ValueError):
+            solve_haar_weights(P, degree=1)
+
+    def test_exact_paths_do_not_load_numpy(self):
+        code = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from qiso import build, catalog, cqg\n"
+            "assert build('circle').suite().ok()\n"
+            "bp = build('torus').b_presentation\n"
+            "words = catalog.block_projector_words(bp.algebra)\n"
+            "weights, unique = cqg.solve_haar_weights(bp, degree=1, extra_words=words)\n"
+            "assert unique and weights == [Fraction(1, 8)] * 8\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qiso.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestHomAndCoassoc:
