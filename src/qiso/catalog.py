@@ -9,6 +9,7 @@ and ``membership`` helpers for the command line.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .cqg import (
@@ -99,14 +100,21 @@ class Scenario:
             elem = self.nf_rules.normal_form(elem)
         return elem.render()
 
-    def membership(self, text: str):
+    @functools.cached_property
+    def member_rules(self) -> RuleSet:
+        """The membership system, completed from ``member_relations`` at
+        ``member_cap`` on first use."""
         if self.member_relations is None:
             raise ValueError(f"scenario {self.name} has no membership relations")
-        elem = self.parse(text)
-        result = ideal_member(elem, self.member_relations, self.member_cap)
+        rels = self.member_relations
+        return RuleSet(rels[0].ambient, rels, self.member_cap)
+
+    def membership(self, text: str):
+        rules = self.member_rules
+        result = ideal_member(parse_element(text, rules.algebra, self.theta), rules)
         cert = None
         if result.certificate is not None:
-            cert = render_certificate(self.member_relations, result.certificate, elem.ambient)
+            cert = render_certificate(rules.relations, result.certificate, rules.algebra)
         return result.status, cert
 
 
@@ -184,7 +192,7 @@ def build_circle_scenario() -> Scenario:
         ]
         for label, elem in members:
             def mem(elem=elem):
-                res = ideal_member(elem, sc.member_relations, cap=6)
+                res = ideal_member(elem, sc.member_rules)
                 if res.status == "YES":
                     return PASS, "certificate verified"
                 return UNDECIDED, "no certificate within the cap"
@@ -376,7 +384,7 @@ def build_sphere_scenario() -> Scenario:
             failures = []
             for x, y in pairs:
                 qx, qy = _sphere_q(qa, *x), _sphere_q(qa, *y)
-                if ideal_member(qx * qy - qy * qx, sc.member_relations, cap=2).status != "YES":
+                if ideal_member(qx * qy - qy * qx, sc.member_rules).status != "YES":
                     failures.append((x, y))
             detail = f"{len(pairs) - len(failures)}/{len(pairs)} commutators certified"
             if failures:
@@ -481,19 +489,13 @@ _BLOCK_FAMILIES = [
     ("D1", "C2"),
 ]
 
+_NAMES8 = list(_BIDEG)
+
 # which (block, generator) pairs sum to each family element
 _FAMILY_SUPPORT = {
-    "A1": [(0, 0), (3, 0)],
-    "B1": [(4, 1), (5, 0)],
-    "C1": [(1, 0), (2, 0)],
-    "D1": [(6, 0), (7, 0)],
-    "A2": [(5, 1), (6, 1)],
-    "B2": [(0, 1), (1, 1)],
-    "C2": [(4, 0), (7, 1)],
-    "D2": [(2, 1), (3, 1)],
+    name: [(k, i) for k, fams in enumerate(_BLOCK_FAMILIES) for i, f in enumerate(fams) if f == name]
+    for name in _NAMES8
 }
-
-_NAMES8 = ["A1", "B1", "C1", "D1", "A2", "B2", "C2", "D2"]
 
 
 def _torus_phase(k, theta: Frac | None = None) -> Scalar:
@@ -565,12 +567,8 @@ def coproduct_table(alg: FreeAlgebra) -> dict:
     return table
 
 
-def kappa_table(alg_or_elems) -> dict:
+def kappa_table(g: dict) -> dict:
     """kappa(M_ij) = M_ji*, expressed per family generator."""
-    if isinstance(alg_or_elems, FreeAlgebra):
-        g = {n: alg_or_elems.gen(n) for n in _NAMES8}
-    else:
-        g = alg_or_elems
     return {
         "A1": g["A1"].star(),
         "A2": g["B1"].star(),
@@ -622,7 +620,8 @@ def torus_action(elems: dict, theta: Frac | None = None) -> ActionSpec:
 def build_torus_scenario(theta: Frac | None = None) -> Scenario:
     sc = Scenario("torus", theta)
     free8 = FreeAlgebra(_NAMES8)
-    act = torus_action({n: free8.gen(n) for n in _NAMES8}, theta)  # the free ansatz
+    gens8 = {n: free8.gen(n) for n in _NAMES8}
+    act = torus_action(gens8, theta)  # the free ansatz
     sU, sV = act.source.gen("U"), act.source.gen("V")
     sone = Element.unit(act.source)
     lam = _torus_phase(1, theta)
@@ -645,7 +644,7 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
         ),
         coproduct=coproduct_table(free8),
         counit=EPSILON8,
-        antipode=kappa_table(free8),
+        antipode=kappa_table(gens8),
         model=elems,
         model_ambient=ds,
         name="torus",
@@ -665,9 +664,9 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
         fV * fU - fU * fV * lam.conj(),
         fU.star() * fV.star() - fV.star() * fU.star() * lam,
     ]
-    sc.nf_rules = RuleSet(nf_src, torus_rels, cap=8)
     sc.member_relations = torus_rels
     sc.member_cap = 8
+    sc.nf_rules = sc.member_rules
     sc.b_presentation = b_pres
     sc.model = ds
     sc.family = elems
@@ -840,17 +839,14 @@ def build_double_torus_scenario(theta: Frac | None = None) -> Scenario:
     )
     qalg = quotient.algebra
 
-    blk = torus_block(theta)
-    U, V = blk.gen("U"), blk.gen("V")
-    src, src_rels = _torus_source(theta)
     m = quotient.model
-    beta_table = {
-        "U": tensor(U, m["A0"]) + tensor(V, m["B0"]),
-        "V": tensor(U, m["C0"]) + tensor(V, m["D0"]),
-    }
-    beta = ActionSpec(src, src_rels, beta_table, rulesets=(None, None), name="double-torus")
+    zero = Element.zero(quotient.model_ambient)
+    beta = torus_action({
+        "A1": m["A0"], "B1": m["B0"], "A2": m["C0"], "B2": m["D0"],
+        "C1": zero, "D1": zero, "C2": zero, "D2": zero,
+    }, theta)
 
-    sc.parse_algebras = [qalg, src]
+    sc.parse_algebras = [qalg, beta.source]
     sc.nf_algebra = None
     sc.quotient = quotient
     sc.action = beta
@@ -930,9 +926,9 @@ def build_deformation_scenario(theta: Frac | None = None) -> Scenario:
 
     sc.parse_algebras = torus.parse_algebras
     sc.nf_algebra = torus.nf_algebra
-    sc.nf_rules = torus.nf_rules
     sc.member_relations = torus.member_relations
     sc.member_cap = torus.member_cap
+    sc.nf_rules = sc.member_rules = torus.member_rules
 
     def suite(report: Report):
         # the numerical oscillatory integral fixes the sign convention, and

@@ -117,11 +117,11 @@ class _Parser:
             neg = True
         acc = self.parse_tensterm()
         if neg:
-            acc = _negate(acc)
+            acc = -acc
         while self.peek() in (("SYM", "+"), ("SYM", "-")):
             _, op = self.take()
             term = self.parse_tensterm()
-            acc = _combine(acc, term, op, self.algebras)
+            acc = acc + (-term if op == "-" else term)
         return acc
 
     # tensterm := product ((x) product)*
@@ -151,7 +151,7 @@ class _Parser:
                 continue
             if k in ("IDENT", "INT") or (k == "SYM" and v == "("):
                 f = self.parse_factor()
-                acc = f if acc is None else _mul(acc, f)
+                acc = f if acc is None else acc * f
             else:
                 break
         if acc is None:
@@ -238,16 +238,6 @@ class _Parser:
         return Scalar.exponential(lin)
 
 
-def _negate(x):
-    return -x
-
-
-def _combine(a, b, op, algebras):
-    if op == "-":
-        b = _negate(b)
-    return a + b
-
-
 def _star(x):
     if isinstance(x, Scalar):
         return x.conj()
@@ -260,14 +250,6 @@ def _power(x, p: int):
     if p < 0:
         return x.star() ** (-p)
     return x**p
-
-
-def _mul(a, b):
-    if isinstance(a, Scalar) and isinstance(b, Scalar):
-        return a * b
-    if isinstance(a, Scalar):
-        return b * a  # scalars commute
-    return a * b
 
 
 def _as_element(x, alg) -> Element:

@@ -40,18 +40,14 @@ class Rule:
         self.rhs = rhs  # Element with monomials < lhs
         self.rep = rep  # [(Scalar, u, rel_index, v)] with lhs - rhs = sum c*u*r*v
 
-    def poly(self, alg) -> Element:
-        return Element(alg, {self.lhs: Scalar.one()}) - self.rhs
-
 
 class RuleSet:
     """A completed, degree-capped rewriting system."""
 
-    def __init__(self, algebra: FreeAlgebra, relations, cap: int, track=True):
+    def __init__(self, algebra: FreeAlgebra, relations, cap: int):
         self.algebra = algebra
         self.relations = list(relations)
         self.cap = cap
-        self.track = track
         self.rules: list[Rule] = []
         self.capped = False  # ambiguities above the cap were skipped
         self._index: dict[int, list[Rule]] = {}
@@ -78,16 +74,14 @@ class RuleSet:
         for i, r in enumerate(self.relations):
             if r.deg() > self.cap:
                 raise DegreeOverflow(f"relation of degree {r.deg()} exceeds cap {self.cap}")
-            rep = [(Scalar.one(), (), i, ())] if self.track else None
-            push(r, rep)
+            push(r, [(Scalar.one(), (), i, ())])
 
         while queue:
             _, _, elem, rep = heapq.heappop(queue)
             # rep represents elem itself; _reduce appends entries representing
             # the removed part, so the reduced element is rep minus the delta
-            elem, delta = self._reduce(elem, [] if self.track else None)
-            if self.track:
-                rep = rep + [(-s, u, k, v) for s, u, k, v in delta]
+            elem, delta = self._reduce(elem, [])
+            rep = rep + [(-s, u, k, v) for s, u, k, v in delta]
             if elem.is_zero():
                 continue
             lead = max(elem.t, key=alg.order_key)
@@ -98,10 +92,7 @@ class RuleSet:
                 )
             ci = c.inv()
             rhs = -(elem - Element(alg, {lead: c})) * ci
-            new_rep = (
-                [(ci * s, u, k, v) for s, u, k, v in rep] if self.track else None
-            )
-            rule = Rule(lead, rhs, new_rep)
+            rule = Rule(lead, rhs, [(ci * s, u, k, v) for s, u, k, v in rep])
             # resolve ambiguities against all rules (including itself)
             self._add_rule(rule)
             for other in self.rules:
@@ -121,23 +112,17 @@ class RuleSet:
         def s_overlap(x, y):
             # word l1 + y == x + l2:  r1 gives rhs1.y, r2 gives x.rhs2
             d = _mul_word(r1.rhs, (), y, alg) - _mul_word(r2.rhs, x, (), alg)
-            if self.track:
-                rep = [(-s, u, k, v + y) for s, u, k, v in r1.rep] + [
-                    (s, x + u, k, v) for s, u, k, v in r2.rep
-                ]
-            else:
-                rep = None
+            rep = [(-s, u, k, v + y) for s, u, k, v in r1.rep] + [
+                (s, x + u, k, v) for s, u, k, v in r2.rep
+            ]
             return d, rep
 
         def s_inclusion(x, y):
             # word l1 == x + l2 + y:  r1 gives rhs1, r2 gives x.rhs2.y
             d = r1.rhs - _mul_word(r2.rhs, x, y, alg)
-            if self.track:
-                rep = [(-s, u, k, v) for s, u, k, v in r1.rep] + [
-                    (s, x + u, k, v + y) for s, u, k, v in r2.rep
-                ]
-            else:
-                rep = None
+            rep = [(-s, u, k, v) for s, u, k, v in r1.rep] + [
+                (s, x + u, k, v + y) for s, u, k, v in r2.rep
+            ]
             return d, rep
 
         # proper overlaps: l1 = x + o, l2 = o + y with 0 < len(o) < min lens
@@ -185,13 +170,8 @@ class RuleSet:
             repl = _mul_word(rule.rhs, u, v, alg) * c
             if rep is not None:
                 rep.extend((c * s, u + ru, k, rv + v) for s, ru, k, rv in rule.rep)
-            for m2, c2 in repl.t.items():
-                work.append((m2, c2))
-        # consolidate duplicates collected through work list
-        out = Element.zero(alg)
-        for m, c in done.t.items():
-            out._add_term(m, c)
-        return out, rep
+            work.extend(repl.t.items())
+        return done, rep
 
     # -- public API -------------------------------------------------------------
     def normal_form(self, elem: Element, with_cert=False):
@@ -220,15 +200,16 @@ class Membership:
         return f"Membership({self.status})"
 
 
-def ideal_member(p: Element, relations, cap: int, rules: RuleSet | None = None) -> Membership:
+def ideal_member(p: Element, rules: RuleSet) -> Membership:
     """Two-sided ideal membership with verified certificates.
 
-    Returns YES with a certificate expressing p as a combination of the
-    relations (checked by re-expansion), or UNDECIDED if the normal form at
-    this cap is nonzero.
+    ``rules`` is a completed system over ``p``'s own algebra.  Returns YES
+    with a certificate expressing p as a combination of ``rules.relations``
+    (checked by re-expansion), or UNDECIDED if the normal form at the cap of
+    ``rules`` is nonzero.
     """
-    if rules is None:
-        rules = RuleSet(p.ambient, relations, cap, track=True)
+    if p.ambient is not rules.algebra:
+        raise ValueError("element and rewriting system live in different algebras")
     nf, cert = rules.normal_form(p, with_cert=True)
     if not nf.is_zero():
         return Membership(UNDECIDED)

@@ -13,7 +13,21 @@ from qiso.catalog import (
     torus_block,
 )
 from qiso.freealg import Element
+from qiso.rewrite import RuleSet
 from qiso.scalars import Scalar, ThetaLin
+
+
+def _count_completions(monkeypatch):
+    """Record (algebra, cap) for every RuleSet completed from now on."""
+    seen = []
+    init = RuleSet.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen.append((self.algebra, self.cap))
+
+    monkeypatch.setattr(RuleSet, "__init__", counting)
+    return seen
 
 
 class TestBuilders:
@@ -86,6 +100,26 @@ class TestScenarioHelpers:
         status, _ = sc.membership("A B* + B A*")
         assert status == "YES"
 
+    @pytest.mark.parametrize("name, text", [
+        ("circle", "A B* + B A*"),
+        ("sphere", "Q11 Q22 - Q22 Q11"),
+        ("torus", "U V - e(t) V U"),
+    ])
+    def test_membership_completes_once(self, monkeypatch, name, text):
+        sc = build(name)
+        completions = _count_completions(monkeypatch)
+        first = sc.membership(text)
+        second = sc.membership(text)
+        assert len(completions) <= 1
+        assert first == second
+        assert first[0] == "YES"
+
+    @pytest.mark.parametrize("name", ["torus", "deformation"])
+    def test_torus_shares_one_system(self, name):
+        sc = build(name)
+        assert sc.nf_rules is sc.member_rules
+        assert sc.member_rules.cap == sc.member_cap == 8
+
     def test_constants_embed_conventions(self, scenario_cache):
         sc, _ = scenario_cache("torus")
         assert sc.constants["sigma"] == -1
@@ -99,6 +133,21 @@ class TestCoherenceHelper:
 
     def test_specialized(self):
         assert nf_model_coherence(-1, theta=Fraction(1, 3), max_len=3) == 84
+
+
+class TestSuiteCompletions:
+    """Each suite completes its membership system once, however many
+    membership checks run against it."""
+
+    @pytest.mark.parametrize("name, checks", [("circle", 5), ("sphere", 1)])
+    def test_member_system_completed_once(self, monkeypatch, name, checks):
+        sc = build(name)
+        completions = _count_completions(monkeypatch)
+        report = sc.suite()
+        member_alg = sc.member_relations[0].ambient
+        assert completions.count((member_alg, sc.member_cap)) == 1
+        assert sum(r.name.startswith(("membership[", "coefficient-commutators"))
+                   for r in report.results) == checks
 
 
 class TestSuites:

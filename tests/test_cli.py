@@ -61,10 +61,21 @@ class TestMember:
         assert main(["member", "torus", "W W"]) == 3
 
     def test_degree_overflow_is_undecided(self, capsys):
-        assert main(["member", "circle", "U U U U U U U U U"]) == 2
+        assert main(["member", "circle", "A A A A A A A"]) == 2
         captured = capsys.readouterr()
         assert captured.out.strip() == "UNDECIDED"
         assert "cap 6" in captured.err
+
+    @pytest.mark.parametrize("scenario, text", [
+        ("torus", "A1 A1* - 1"),  # a torus B-algebra word, not U, V
+        ("sphere", "x1 x2 - x2 x1"),  # a sphere coordinate, not Q
+    ])
+    def test_other_algebra_is_usage_error(self, capsys, scenario, text):
+        assert main(["member", scenario, text]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "unknown generator" in captured.err
 
 
 class TestVerify:

@@ -70,7 +70,7 @@ class TestMembership:
         U, V = alg.gen("U"), alg.gen("V")
         lam = Scalar.exponential(ThetaLin(0, 1))
         p = U * V - V * U * lam
-        res = ideal_member(p, rels, cap=8)
+        res = ideal_member(p, RuleSet(alg, rels, 8))
         assert res.status == YES
         assert verify_certificate(p, rels, res.certificate)
         assert render_certificate(rels, res.certificate, alg)
@@ -78,12 +78,12 @@ class TestMembership:
     def test_undecided_for_nonmember(self, torus_rules):
         alg, _rules, rels = torus_rules
         U, V = alg.gen("U"), alg.gen("V")
-        res = ideal_member(U * V - V * U, rels, cap=6)
+        res = ideal_member(U * V - V * U, RuleSet(alg, rels, 6))
         assert res.status == UNDECIDED
 
     def test_zero_is_member(self, torus_rules):
         alg, _rules, rels = torus_rules
-        res = ideal_member(Element.zero(alg), rels, cap=4)
+        res = ideal_member(Element.zero(alg), RuleSet(alg, rels, 4))
         assert res.status == YES
 
     def test_certificates_survive_completion(self):
@@ -100,6 +100,14 @@ class TestMembership:
             - q["Q21"] * q["Q12"] - q["Q11"] * q["Q22"]
         )
         comm = q["Q11"] * q["Q22"] - q["Q22"] * q["Q11"]
-        res = ideal_member(comm, [r3, r6], cap=2)
+        res = ideal_member(comm, RuleSet(alg, [r3, r6], 2))
         assert res.status == YES
         assert verify_certificate(comm, [r3, r6], res.certificate)
+
+    def test_element_of_another_algebra_is_rejected(self, torus_rules):
+        # the same words read in another algebra name different elements
+        _alg, rules, _ = torus_rules
+        other = FreeAlgebra(["U", "V"])
+        U = other.gen("U")
+        with pytest.raises(ValueError, match="different algebras"):
+            ideal_member(U * U.star() - Element.unit(other), rules)
