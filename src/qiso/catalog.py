@@ -994,12 +994,13 @@ def build_deformation_scenario(theta: Frac | None = None) -> Scenario:
         # the twisted product of the undeformed model realises the same
         # commutation phases generator by generator
         def odot_phases():
+            Jt = j_double(J)
             twisted = eight_block_model()
             for k in range(8):
                 x = ds0.block_gen(k, 0)
                 y = ds0.block_gen(k, 1)
                 want = twisted.blocks[k].comm.get((0, 1), Scalar.one())
-                lhs = odot(y, x, J) - odot(x, y, J) * want
+                lhs = odot(y, x, Jt) - odot(x, y, Jt) * want
                 if theta is not None:
                     lhs = lhs.specialize(theta)
                 if not lhs.is_zero():
@@ -1056,13 +1057,15 @@ def nf_model_coherence(comm_exponent: int, theta: Frac | None = None,
     images = {"U": blk.gen("U"), "V": blk.gen("V")}
 
     count = 0
-    letters = [U, U.star(), V, V.star()]
-    frontier = [one]
+    # each word with its model value; the value of w*x is the value of w
+    # times the image of the letter x
+    letters = [(x, substitute(x, images)) for x in (U, U.star(), V, V.star())]
+    frontier = [(one, Element.unit(blk))]
     for _ in range(max_len):
-        frontier = [w * l for w in frontier for l in letters]
-        for w in frontier:
+        frontier = [(w * x, val * img) for w, val in frontier for x, img in letters]
+        for w, val in frontier:
             nf = rules.normal_form(w)
-            diff = substitute(nf, images) - substitute(w, images)
+            diff = substitute(nf, images) - val
             assert diff.is_zero(), (
                 f"normal form of {w.render()} disagrees with the model: "
                 f"{diff.render()}"

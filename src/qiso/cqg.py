@@ -29,9 +29,18 @@ from .freealg import (
     substitute_factors,
     tensor,
 )
-from .graded import DirectSum, block_diag, collapse_phase, j_double, rieffel_product, tau, twist_phase
+from .graded import (
+    DirectSum,
+    SkewMatrix,
+    block_diag,
+    collapse_phase,
+    j_double,
+    rieffel_product,
+    tau,
+    twist_phase,
+)
 from .rewrite import RuleSet, reduce_tensor
-from .scalars import Scalar, ThetaLin
+from .scalars import Scalar
 
 Frac = Fraction
 
@@ -118,7 +127,13 @@ def star_close(relations) -> list:
 
 @dataclass
 class CQGPresentation:
-    """Generators + relations + Hopf tables, with an optional concrete model."""
+    """Generators + relations + Hopf tables, with an optional concrete model.
+
+    ``relations`` is not mutated after construction, nor are ``coproduct``
+    and ``model`` once a coproduct has been evaluated in the model: the
+    star-closed relations and the coproduct images in model (x) model are
+    computed once, on first use, and reused.
+    """
 
     algebra: FreeAlgebra
     relations: list = field(default_factory=list)
@@ -129,11 +144,12 @@ class CQGPresentation:
     model_ambient: object | None = None
     name: str = ""
 
+    @functools.cached_property
     def star_closed_relations(self) -> list:
         return star_close(self.relations)
 
     def rules(self, cap: int) -> RuleSet:
-        return RuleSet(self.algebra, self.star_closed_relations(), cap)
+        return RuleSet(self.algebra, self.star_closed_relations, cap)
 
     def in_model(self, elem: Element) -> Element:
         assert self.model is not None
@@ -143,10 +159,14 @@ class CQGPresentation:
         assert self.coproduct is not None
         return substitute(elem, self.coproduct)
 
+    @functools.cached_property
+    def delta_images(self) -> dict:
+        """The coproduct of each generator, evaluated in model (x) model."""
+        return {n: substitute_factors(d, [self.model, self.model]) for n, d in self.coproduct.items()}
+
     def delta_model(self, elem: Element) -> Element:
         """Coproduct of a free element, evaluated in model (x) model."""
-        images = {n: substitute_factors(d, [self.model, self.model]) for n, d in self.coproduct.items()}
-        return substitute(elem, images)
+        return substitute(elem, self.delta_images)
 
 
 @dataclass
@@ -652,14 +672,13 @@ def hopf_quotient(P: CQGPresentation, killed, rename: dict | None = None) -> CQG
 # ---------------------------------------------------------------------------
 
 
-def bullet_product(x: Element, y: Element, J) -> Element:
+def bullet_product(x: Element, y: Element, Jb: SkewMatrix) -> Element:
     """(a (x) q) bullet_J (b (x) r) = (a x_J b) (x) (q twisted by Jtilde r):
-    the Rieffel product for J (+) Jtilde on the source degree followed by
-    the target bidegree."""
+    the Rieffel product for ``Jb = block_diag(J, j_double(J))`` on the source
+    degree followed by the target bidegree."""
     a_amb, q_amb = x.ambient.factors
     return rieffel_product(
-        x, y, block_diag(J, j_double(J)),
-        grading=lambda m: a_amb.degree_vec(m[0]) + q_amb.bidegree(m[1]),
+        x, y, Jb, grading=lambda m: a_amb.degree_vec(m[0]) + q_amb.bidegree(m[1]),
     )
 
 
@@ -673,6 +692,7 @@ def check_deformed_hom(act: ActionSpec, J, degree_bound: int = 3,
     monos = [(m, n) for m in rng for n in rng]
 
     def deformed_hom():
+        Jb = block_diag(J, j_double(J))
         cache = {mn: alpha_monomial(act, *mn) for mn in monos}
         failures = []
         for (m1, n1) in monos:
@@ -680,7 +700,7 @@ def check_deformed_hom(act: ActionSpec, J, degree_bound: int = 3,
             aa = cache[(m1, n1)]
             for (m2, n2) in monos:
                 b = a_amb.monomial((m2, n2))
-                lhs = bullet_product(aa, cache[(m2, n2)], J)
+                lhs = bullet_product(aa, cache[(m2, n2)], Jb)
                 ab = rieffel_product(a, b, J)
                 rhs = Element.zero(aa.ambient)
                 for mono, c in ab.t.items():
@@ -698,29 +718,16 @@ def check_deformed_hom(act: ActionSpec, J, degree_bound: int = 3,
     return report
 
 
-def _mat_vec_left(v, J):
-    """Coefficient vector of u in v . Ju, i.e. J^T v, as ThetaLin entries."""
-    n = len(J)
-    out = []
-    for i in range(n):
-        acc = ThetaLin(0, 0)
-        for k in range(n):
-            if v[k]:
-                acc = acc + J[k][i] * v[k]
-        out.append(acc)
-    return out
-
-
 def _chi(amb, m, side):
     bd = amb.bidegree(m)
     half = len(bd) // 2
     return bd[:half] if side == 0 else bd[half:]
 
 
-def odot(x: Element, y: Element, J) -> Element:
-    """The quantum-group twisted product: rieffel product for Jtilde on the
-    bidegree grading."""
-    return rieffel_product(x, y, j_double(J), grading=x.ambient.bidegree)
+def odot(x: Element, y: Element, Jt: SkewMatrix) -> Element:
+    """The quantum-group twisted product: the Rieffel product for
+    ``Jt = j_double(J)`` on the bidegree grading."""
+    return rieffel_product(x, y, Jt, grading=x.ambient.bidegree)
 
 
 def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
@@ -743,17 +750,14 @@ def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
     def twist_interchange():
         # int (Omega(Ju) conv x) odot (Omega(v) conv y) e(u.v)
         #   = int (x conv Omega(Ju)) (y conv Omega(v)) e(u.v)
+        Jt = j_double(J)
         q_monos = sorted({qm for mn in monos for (_am, qm) in alphas()[mn].t}, key=_render_key)
         for mx in q_monos:
             x = Element(q_amb, {mx: Scalar.one()})
             for my in q_monos:
                 y = Element(q_amb, {my: Scalar.one()})
-                lhs = odot(x, y, J) * collapse_phase(
-                    _mat_vec_left(_chi(q_amb, mx, 0), J), _chi(q_amb, my, 0)
-                )
-                rhs = (x * y) * collapse_phase(
-                    _mat_vec_left(_chi(q_amb, mx, 1), J), _chi(q_amb, my, 1)
-                )
+                lhs = odot(x, y, Jt) * collapse_phase(_chi(q_amb, mx, 0), J, _chi(q_amb, my, 0))
+                rhs = (x * y) * collapse_phase(_chi(q_amb, mx, 1), J, _chi(q_amb, my, 1))
                 if not (lhs - rhs).is_zero():
                     return FAIL, f"pair {q_amb.render_mono(mx)}, {q_amb.render_mono(my)}"
         return PASS, f"{len(q_monos) ** 2} bihomogeneous pairs"
@@ -783,13 +787,13 @@ def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
                     lhs = lhs + alpha_cache[mono] * c
                 rhs = Element.zero(lhs.ambient)
                 for (am1, qm1), c1 in alpha_cache[(m1, n1)].t.items():
+                    a1, x1 = Element(a_amb, {am1: Scalar.one()}), Element(q_amb, {qm1: Scalar.one()})
+                    chi1 = _chi(q_amb, qm1, 1)
                     for (am2, qm2), c2 in alpha_cache[(m2, n2)].t.items():
-                        ph = collapse_phase(
-                            _mat_vec_left(_chi(q_amb, qm1, 1), J), _chi(q_amb, qm2, 1)
-                        )
+                        ph = collapse_phase(chi1, J, _chi(q_amb, qm2, 1))
                         term = tensor(
-                            Element(a_amb, {am1: Scalar.one()}) * Element(a_amb, {am2: Scalar.one()}),
-                            Element(q_amb, {qm1: Scalar.one()}) * Element(q_amb, {qm2: Scalar.one()}),
+                            a1 * Element(a_amb, {am2: Scalar.one()}),
+                            x1 * Element(q_amb, {qm2: Scalar.one()}),
                         )
                         rhs = rhs + term * (c1 * c2 * ph)
                 if not (lhs - rhs).is_zero():
@@ -800,19 +804,20 @@ def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
         # alpha(a) bullet_J alpha(b)
         #   = a1 b1 (x) int (Omega(Ju) conv a2) odot (Omega(v) conv b2) e(u.v)
         alpha_cache = alphas()
+        Jt = j_double(J)
+        Jb = block_diag(J, Jt)
         for (m1, n1) in monos:
             for (m2, n2) in monos:
-                lhs = bullet_product(alpha_cache[(m1, n1)], alpha_cache[(m2, n2)], J)
+                lhs = bullet_product(alpha_cache[(m1, n1)], alpha_cache[(m2, n2)], Jb)
                 rhs = Element.zero(lhs.ambient)
                 for (am1, qm1), c1 in alpha_cache[(m1, n1)].t.items():
-                    x1 = Element(q_amb, {qm1: Scalar.one()})
+                    a1, x1 = Element(a_amb, {am1: Scalar.one()}), Element(q_amb, {qm1: Scalar.one()})
+                    chi0 = _chi(q_amb, qm1, 0)
                     for (am2, qm2), c2 in alpha_cache[(m2, n2)].t.items():
-                        ph = collapse_phase(
-                            _mat_vec_left(_chi(q_amb, qm1, 0), J), _chi(q_amb, qm2, 0)
-                        )
+                        ph = collapse_phase(chi0, J, _chi(q_amb, qm2, 0))
                         term = tensor(
-                            Element(a_amb, {am1: Scalar.one()}) * Element(a_amb, {am2: Scalar.one()}),
-                            odot(x1, Element(q_amb, {qm2: Scalar.one()}), J),
+                            a1 * Element(a_amb, {am2: Scalar.one()}),
+                            odot(x1, Element(q_amb, {qm2: Scalar.one()}), Jt),
                         )
                         rhs = rhs + term * (c1 * c2 * ph)
                 if not (lhs - rhs).is_zero():
@@ -842,17 +847,12 @@ def check_haar_twist_invariance(model_ambient: DirectSum, weights, J,
     """h(a x_Jtilde b) = h(ab) on all monomial pairs of degree <= bound, and
     the two-sided torus action fixes h symbolically."""
     report = report or Report("haar-twist")
-    Jt = j_double(J)
-
     rng = range(-degree_bound, degree_bound + 1)
     monos = [(k, (m, n)) for k in range(len(model_ambient.blocks)) for m in rng for n in rng]
 
-    def twist(m1, m2):
-        return twist_phase(
-            model_ambient.bidegree(m1), Jt, model_ambient.bidegree(m2)
-        )
-
     def invariance():
+        Jt = j_double(J)
+        bidegree = model_ambient.bidegree
         count = 0
         for m1 in monos:
             a = Element(model_ambient, {m1: Scalar.one()})
@@ -861,7 +861,7 @@ def check_haar_twist_invariance(model_ambient: DirectSum, weights, J,
                     continue  # cross-block products vanish on both sides
                 b = Element(model_ambient, {m2: Scalar.one()})
                 ab = a * b
-                lhs = haar(ab * twist(m1, m2), weights)
+                lhs = haar(ab * twist_phase(bidegree(m1), Jt, bidegree(m2)), weights)
                 rhs = haar(ab, weights)
                 count += 1
                 if not (lhs - rhs).is_zero():
@@ -901,9 +901,6 @@ def solve_haar_weights(P: CQGPresentation, degree: int = 2, extra_words=()):
     assert isinstance(ds, DirectSum)
     nblocks = len(ds.blocks)
     alg = P.algebra
-    delta_images = {
-        n: substitute_factors(d, [P.model, P.model]) for n, d in P.coproduct.items()
-    }
 
     letters = [alg.gen(n) for n in alg.names] + [alg.gen(n, star=True) for n in alg.names if n not in alg.selfadjoint]
     words = [Element.unit(alg)]
@@ -917,7 +914,7 @@ def solve_haar_weights(P: CQGPresentation, degree: int = 2, extra_words=()):
     forms = []
     for w in words:
         x_model = substitute(w, P.model)
-        dx = substitute(w, delta_images)
+        dx = substitute(w, P.delta_images)
         # (id (x) h_w) dx  as  sum over blocks of w_k * (partial element)
         lhs_by_block = {k: Element.zero(ds) for k in range(nblocks)}
         for (m1, m2), c in dx.t.items():

@@ -15,10 +15,18 @@ with the global sign SIGMA fixed once by the numerical oscillatory-integral
 oracle :func:`oscillatory_integral` (see ``tests`` for the fixing run).  For
 bi-graded elements the same formula with the doubled matrix
 Jtilde = (-J) (+) J gives the companion product used on quantum-group models.
+
+Phases are computed from integers.  A :class:`SkewMatrix` carries its
+integer form J = (C + T*t)/den, built once with the matrix (every matrix the
+package builds is t/2 times an integer matrix), so den * p.Jq is the integer
+pair (p^T C q, p^T T q).  The exponential of each such pair is memoised on
+the matrix, and :func:`rieffel_product` groups each operand's terms by
+degree, so a product takes one phase per pair of degrees.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .freealg import Element
@@ -204,17 +212,55 @@ class Laplacian:
 # ---------------------------------------------------------------------------
 
 
-def skew_matrix(entries) -> list:
-    """Build a matrix of ThetaLin entries and check skew-symmetry."""
-    mat = [[e if isinstance(e, ThetaLin) else ThetaLin(e) for e in row] for row in entries]
-    n = len(mat)
-    for i in range(n):
-        for j in range(n):
-            assert mat[i][j] == -mat[j][i], "deformation matrix must be skew"
-    return mat
+class SkewMatrix(tuple):
+    """A deformation matrix J = (C + T*t)/den with integer matrices C and T.
+
+    The rows are tuples, so ``J[i][j]`` reads an entry as a ThetaLin.  The
+    integer form is built once, with the matrix, so that den * p.Jq is the
+    pair of integers (p^T C q, p^T T q) (:meth:`forms`).  The exponentials
+    e((a + b*t)/den) that phases take are memoised on the matrix, keyed by
+    (a, b) (:meth:`exponential`).  Every matrix the package builds is t/2
+    times an integer matrix: C = 0 and den = 2.
+    """
+
+    def __new__(cls, rows):
+        J = super().__new__(cls, (tuple(row) for row in rows))
+        J.den = math.lcm(*(x.denominator for row in J for e in row for x in (e.const, e.coef)))
+        J.C = tuple(tuple(int(e.const * J.den) for e in row) for row in J)
+        J.T = tuple(tuple(int(e.coef * J.den) for e in row) for row in J)
+        # the nonzero entries (i, j, value), which are all the forms read
+        J._c = [(i, j, v) for i, row in enumerate(J.C) for j, v in enumerate(row) if v]
+        J._t = [(i, j, v) for i, row in enumerate(J.T) for j, v in enumerate(row) if v]
+        J._exps = {}
+        return J
+
+    def forms(self, p, q) -> tuple:
+        """(p^T C q, p^T T q) for integer vectors p, q: den * p.Jq."""
+        return (sum(v * p[i] * q[j] for i, j, v in self._c),
+                sum(v * p[i] * q[j] for i, j, v in self._t))
+
+    def exponential(self, a: int, b: int) -> Scalar:
+        """e((a + b*t)/den), memoised."""
+        key = (a, b)
+        x = self._exps.get(key)
+        if x is None:
+            x = self._exps[key] = Scalar.exponential(ThetaLin(Frac(a, self.den), Frac(b, self.den)))
+        return x
 
 
-def j_torus() -> list:
+def skew_matrix(entries) -> SkewMatrix:
+    """A deformation matrix of ThetaLin entries; ValueError unless square and
+    skew."""
+    rows = [[e if isinstance(e, ThetaLin) else ThetaLin(e) for e in row] for row in entries]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("deformation matrix must be square")
+    if any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(n)):
+        raise ValueError("deformation matrix must be skew")
+    return SkewMatrix(rows)
+
+
+def j_torus() -> SkewMatrix:
     """The standard 2x2 deformation matrix with e(2*<upper entry>) = phase.
 
     Orientation is fixed so that deforming the commutative 2-torus yields the
@@ -228,50 +274,61 @@ def j_torus() -> list:
     )
 
 
-def block_diag(A, B) -> list:
-    """The block-diagonal matrix A (+) B of ThetaLin entries."""
+def block_diag(A, B) -> SkewMatrix:
+    """The block-diagonal matrix A (+) B."""
     zero = ThetaLin(0, 0)
-    return [list(row) + [zero] * len(B) for row in A] + [[zero] * len(A) + list(row) for row in B]
+    return skew_matrix([list(row) + [zero] * len(B) for row in A]
+                       + [[zero] * len(A) + list(row) for row in B])
 
 
-def j_double(J) -> list:
+def j_double(J) -> SkewMatrix:
     """The doubled matrix (-J) (+) J acting on bidegrees."""
     return block_diag([[-e for e in row] for row in J], J)
 
 
-def pair(p, J, q) -> ThetaLin:
+def pair(p, J: SkewMatrix, q) -> ThetaLin:
     """p . (J q) for integer vectors p, q."""
-    acc = ThetaLin(0, 0)
-    for i, pi in enumerate(p):
-        for j, qj in enumerate(q):
-            if pi and qj:
-                acc = acc + J[i][j] * (pi * qj)
-    return acc
+    a, b = J.forms(p, q)
+    return ThetaLin(Frac(a, J.den), Frac(b, J.den))
 
 
-def twist_phase(p, J, q) -> Scalar:
+def twist_phase(p, J: SkewMatrix, q) -> Scalar:
     """The exact deformation phase e(SIGMA * p.Jq)."""
-    return Scalar.exponential(pair(p, J, q) * SIGMA)
+    a, b = J.forms(p, q)
+    return J.exponential(SIGMA * a, SIGMA * b)
 
 
-def rieffel_product(x: Element, y: Element, J, grading=None) -> Element:
+def _by_degree(x: Element, grading) -> dict:
+    """The terms of x grouped by degree: degree -> [(monomial, coefficient)]."""
+    groups: dict = {}
+    for m, c in x.t.items():
+        groups.setdefault(tuple(grading(m)), []).append((m, c))
+    return groups
+
+
+def rieffel_product(x: Element, y: Element, J: SkewMatrix, grading=None) -> Element:
     """Twisted product of graded elements: phase e(SIGMA*p.Jq) times ab.
 
     ``grading`` maps a monomial to its integer degree vector; by default the
     ambient ``degree_vec`` (block algebras) is used.  Pass
     ``grading=ambient.bidegree`` together with ``j_double(J)`` for the
-    companion product on bi-graded quantum-group models.
+    companion product on bi-graded quantum-group models.  The terms of each
+    operand are grouped by degree, so there is one phase per degree pair.
     """
     amb = x.ambient
     grading = grading or amb.degree_vec
+    mul_mono = amb.mul_mono
     out = Element.zero(amb)
-    for m1, c1 in x.t.items():
-        p = grading(m1)
-        for m2, c2 in y.t.items():
-            q = grading(m2)
-            c = c1 * c2 * twist_phase(p, J, q)
-            for pc, pm in amb.mul_mono(m1, m2):
-                out._add_term(pm, c * pc)
+    ys = _by_degree(y, grading).items()
+    for p, xterms in _by_degree(x, grading).items():
+        for q, yterms in ys:
+            phase = twist_phase(p, J, q)
+            for m1, c1 in xterms:
+                c1p = c1 * phase
+                for m2, c2 in yterms:
+                    c = c1p * c2
+                    for pc, pm in mul_mono(m1, m2):
+                        out._add_term(pm, c * pc)
     return out
 
 
@@ -328,22 +385,17 @@ def tau(x: Element, weights=None) -> Scalar:
     return tot
 
 
-def collapse_phase(c1, c2) -> Scalar:
-    """Exact value of  int int e(c1.u + c2.v + u.v) du dv  =  e(-c1.c2).
+def collapse_phase(p, J: SkewMatrix, q) -> Scalar:
+    """Exact value of  int int e((J^T p).u + q.v + u.v) du dv  =  e(-(J^T p).q).
 
-    The entries of c1, c2 are ThetaLin exponent vectors.  This is the
-    symbolic counterpart of :func:`oscillatory_integral`, with the same
-    normalisation (the integral of e(u.v) alone is 1).
+    (J^T p).q = p.Jq comes from the integer forms of J.  The sign is that of
+    the integral, not SIGMA, so the twist identities test the sign convention
+    of :func:`twist_phase`.  This is the symbolic counterpart of
+    :func:`oscillatory_integral`, with the same normalisation (the integral
+    of e(u.v) alone is 1).
     """
-    acc = ThetaLin(0, 0)
-    for a, b in zip(c1, c2):
-        a = a if isinstance(a, ThetaLin) else ThetaLin(a)
-        b = b if isinstance(b, ThetaLin) else ThetaLin(b)
-        acc = acc + ThetaLin(
-            -(a.const * b.const), -(a.const * b.coef + a.coef * b.const)
-        )
-        assert a.coef * b.coef == 0, "quadratic parameter terms not supported"
-    return Scalar.exponential(acc)
+    a, b = J.forms(p, q)
+    return J.exponential(-a, -b)
 
 
 def oscillatory_integral(a, b, eps_schedule=None):

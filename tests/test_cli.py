@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qiso
 from qiso.cli import main
 
 
@@ -101,3 +105,16 @@ class TestVerify:
             main(["verify", "nosuch"])
         assert exc.value.code == 3
         assert "invalid choice: 'nosuch'" in capsys.readouterr().err
+
+
+class TestModuleEntry:
+    def test_python_dash_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qiso.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "qiso", "nf", "torus", "V U"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "e(-t) * U V"
+        usage = subprocess.run([sys.executable, "-m", "qiso", "verify", "nosuch"],
+                               env=env, capture_output=True, text=True)
+        assert usage.returncode == 3

@@ -232,3 +232,33 @@ class TestHomAndCoassoc:
         P = load_data("circle.pres")
         rep = check_coassoc(P, cap=6)
         assert rep.ok()
+
+
+class TestPresentationCaches:
+    def test_rules_star_close_once(self, monkeypatch):
+        bp = qiso.build("torus").b_presentation
+        calls = []
+        original = qiso.cqg.star_close
+
+        def counting(relations):
+            calls.append(len(relations))
+            return original(relations)
+
+        monkeypatch.setattr(qiso.cqg, "star_close", counting)
+        first, second = bp.rules(3), bp.rules(3)
+        assert calls == [182]
+        assert len(first.rules) == len(second.rules) == 387
+
+    def test_delta_model_builds_the_images_once(self, monkeypatch):
+        bp = qiso.build("torus").b_presentation
+        calls = []
+        original = qiso.cqg.substitute_factors
+
+        def counting(elem, factor_images):
+            calls.append(elem)
+            return original(elem, factor_images)
+
+        monkeypatch.setattr(qiso.cqg, "substitute_factors", counting)
+        for r in bp.relations[:3]:
+            assert bp.delta_model(r).is_zero()
+        assert len(calls) == len(bp.algebra.names) == 8

@@ -2,19 +2,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qiso.catalog import eight_block_model
 from qiso.freealg import Element
 from qiso.graded import (
     SIGMA,
     BlockAlgebra,
     DirectSum,
     Laplacian,
+    block_diag,
+    collapse_phase,
     deform_block,
     deform_sum,
     j_double,
     j_torus,
     oscillatory_integral,
+    pair,
     rieffel_product,
+    skew_matrix,
     twist_phase,
 )
 from qiso.scalars import Scalar, ThetaLin
@@ -151,3 +158,155 @@ class TestTwist:
 
     def test_sigma_pinned(self):
         assert SIGMA == -1
+
+
+# ---------------------------------------------------------------------------
+# the integer form of deformation matrices, against the ThetaLin arithmetic
+# ---------------------------------------------------------------------------
+
+
+def ref_pair(p, J, q) -> ThetaLin:
+    """p . (J q) summed entry by entry in ThetaLin arithmetic."""
+    acc = ThetaLin(0, 0)
+    for i, pi in enumerate(p):
+        for j, qj in enumerate(q):
+            if pi and qj:
+                acc = acc + J[i][j] * (pi * qj)
+    return acc
+
+
+def ref_twist_phase(p, J, q) -> Scalar:
+    return Scalar.exponential(ref_pair(p, J, q) * SIGMA)
+
+
+def ref_collapse_phase(p, J, q) -> Scalar:
+    """e(-(J^T p).q), with J^T p formed as a ThetaLin vector."""
+    n = len(J)
+    jtp = [sum((J[k][i] * p[k] for k in range(n)), ThetaLin(0, 0)) for i in range(n)]
+    return Scalar.exponential(-sum((c * qi for c, qi in zip(jtp, q)), ThetaLin(0, 0)))
+
+
+def ref_rieffel_product(x, y, J, grading=None) -> Element:
+    """The twisted product term pair by term pair, one phase per pair."""
+    amb = x.ambient
+    grading = grading or amb.degree_vec
+    out = Element.zero(amb)
+    for m1, c1 in x.t.items():
+        for m2, c2 in y.t.items():
+            c = c1 * c2 * ref_twist_phase(grading(m1), J, grading(m2))
+            for pc, pm in amb.mul_mono(m1, m2):
+                out._add_term(pm, c * pc)
+    return out
+
+
+def _package_matrices():
+    J = j_torus()
+    return {"j_torus": J, "j_double": j_double(J), "bullet": block_diag(J, j_double(J))}
+
+
+PROPERTY = settings(deadline=None, max_examples=60)
+small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def skew_matrices(draw, n=None):
+    """Random skew matrices with rational + rational*t entries (n x n, or of
+    a random size up to 4)."""
+    n = n or draw(st.integers(1, 4))
+    rows = [[ThetaLin(0, 0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = ThetaLin(draw(small_fracs), draw(small_fracs))
+            rows[i][j], rows[j][i] = e, -e
+    return skew_matrix(rows)
+
+
+@st.composite
+def matrix_and_vectors(draw):
+    name = draw(st.sampled_from(["j_torus", "j_double", "bullet", "random"]))
+    J = draw(skew_matrices()) if name == "random" else _package_matrices()[name]
+    vec = st.lists(st.integers(-6, 6), min_size=len(J), max_size=len(J))
+    return J, draw(vec), draw(vec)
+
+
+class TestIntegerForm:
+    def test_package_matrices_are_t_over_two(self):
+        for J in _package_matrices().values():
+            assert J.den == 2
+            assert all(v == 0 for row in J.C for v in row)
+
+    def test_entries_read_as_thetalin(self):
+        J = block_diag(j_torus(), j_double(j_torus()))
+        assert J[0][1] == ThetaLin(0, Fraction(-1, 2))
+        assert J[2][3] == ThetaLin(0, Fraction(1, 2))
+        assert J[4][5] == ThetaLin(0, Fraction(-1, 2))
+
+    @PROPERTY
+    @given(matrix_and_vectors())
+    def test_pair_and_twist_phase_match_thetalin(self, jpq):
+        J, p, q = jpq
+        assert pair(p, J, q) == ref_pair(p, J, q)
+        want = ref_twist_phase(p, J, q)
+        assert (twist_phase(p, J, q) - want).is_zero()
+        assert (twist_phase(p, J, q) - want).is_zero()  # now from the memo
+
+    @PROPERTY
+    @given(matrix_and_vectors())
+    def test_collapse_phase_matches_thetalin(self, jpq):
+        J, p, q = jpq
+        assert (collapse_phase(p, J, q) - ref_collapse_phase(p, J, q)).is_zero()
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 1], [1, 0]],
+        [[ThetaLin(0, 1), 0], [0, ThetaLin(0, -1)]],
+        [[0, ThetaLin(1, 2)], [ThetaLin(-1, 2), 0]],
+        [[0, 1, 0], [-1, 0]],
+    ])
+    def test_skew_matrix_rejects_a_non_skew_matrix(self, rows):
+        with pytest.raises(ValueError):
+            skew_matrix(rows)
+
+
+_phases = [Scalar.one(), Scalar.rational(-2), Scalar.exponential(ThetaLin(0, 1)),
+           Scalar.exponential(ThetaLin(Fraction(1, 3), -2)) * Scalar.rational(Fraction(1, 2))]
+_coeffs = st.sampled_from(_phases)
+_exps = st.integers(-2, 2)
+
+
+def _block_elements(blk):
+    mono = st.tuples(*[_exps] * blk.d)
+    return st.dictionaries(mono, _coeffs, min_size=1, max_size=5).map(
+        lambda t: Element(blk, t))
+
+
+_DS = eight_block_model()
+_ds_elements = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.tuples(_exps, _exps)), _coeffs, min_size=1, max_size=6
+).map(lambda t: Element(_DS, t))
+
+# three generators with W of the same bidegree as U V: terms share degrees
+_BLK3 = BlockAlgebra(["U", "V", "W"],
+                     comm={(0, 1): Scalar.exponential(ThetaLin(0, -1)),
+                           (1, 2): Scalar.exponential(ThetaLin(Fraction(1, 3), 0))},
+                     bidegrees=[(1, 0), (0, 1), (1, 1)])
+
+
+class TestRieffelProduct:
+    @PROPERTY
+    @given(_block_elements(_BLK3), _block_elements(_BLK3), skew_matrices(2))
+    def test_block_algebra_on_bidegrees(self, x, y, J):
+        got = rieffel_product(x, y, J, grading=_BLK3.bidegree)
+        assert (got - ref_rieffel_product(x, y, J, grading=_BLK3.bidegree)).is_zero()
+
+    @PROPERTY
+    @given(_block_elements(BlockAlgebra(["U", "V"])), _block_elements(BlockAlgebra(["U", "V"])))
+    def test_block_algebra_on_degrees(self, x, y):
+        J = j_torus()
+        assert (rieffel_product(x, y, J) - ref_rieffel_product(x, y, J)).is_zero()
+
+    @PROPERTY
+    @given(_ds_elements, _ds_elements)
+    def test_direct_sum_on_bidegrees(self, x, y):
+        Jt = j_double(j_torus())
+        got = rieffel_product(x, y, Jt, grading=_DS.bidegree)
+        assert (got - ref_rieffel_product(x, y, Jt, grading=_DS.bidegree)).is_zero()
