@@ -7,8 +7,8 @@ block by block and phase by phase, the symmetry of the twisted torus.
 
 All oscillatory integrals behind the twisted products collapse on graded
 elements to exact phases e(sigma * p.Jq); the global sign sigma = -1 is fixed
-once by a numerically regularized Gaussian oracle and then used symbolically
-everywhere.
+by the finite oscillatory sum over (Z/N)^2, evaluated exactly in a cyclotomic
+field at random rational parameters, and then used everywhere.
 """
 
 from qiso.catalog import build
@@ -24,8 +24,8 @@ def show(report, names):
 defo = build("deformation")
 report = defo.suite()
 
-print("Sign convention, fixed numerically on 50 random instances and matched")
-print("by the symbolic twisted product:")
+print("Sign convention, fixed exactly on 50 random rational instances and")
+print("matched by the twisted product:")
 show(report, ["twist-sign-oracle"])
 
 print("\nDeforming the spaces and the symmetry blockwise:")

@@ -10,6 +10,7 @@ and ``membership`` helpers for the command line.
 from __future__ import annotations
 
 import functools
+import random
 from fractions import Fraction
 
 from .cqg import (
@@ -39,7 +40,7 @@ from .cqg import (
     solve_haar_weights,
     star_close,
 )
-from .expr import parse_element
+from .expr import ParseError, parse_element
 from .freealg import Element, FreeAlgebra, substitute, substitute_factors, tensor
 from .graded import (
     SIGMA,
@@ -48,9 +49,9 @@ from .graded import (
     Laplacian,
     deform_block,
     deform_sum,
+    finite_oscillatory_sum,
     j_double,
     j_torus,
-    oscillatory_integral,
     rieffel_product,
     tau,
     twist_phase,
@@ -90,7 +91,7 @@ class Scenario:
         for alg in self.parse_algebras:
             try:
                 return parse_element(text, alg, self.theta)
-            except Exception as exc:  # try the next algebra
+            except ParseError as exc:  # try the next algebra
                 last_err = exc
         raise last_err
 
@@ -195,7 +196,7 @@ def build_circle_scenario() -> Scenario:
                 res = ideal_member(elem, sc.member_rules)
                 if res.status == "YES":
                     return PASS, "certificate verified"
-                return UNDECIDED, "no certificate within the cap"
+                return UNDECIDED, f"no certificate within cap {sc.member_cap}"
 
             report.run(f"membership[{label}]", "presentation", mem)
 
@@ -298,6 +299,36 @@ def build_circle_scenario() -> Scenario:
 
 def _sphere_q(qa, i, j):
     return qa.gen(f"Q{i}{j}")
+
+
+def _partial(p: Element, v: int) -> Element:
+    """The derivative of a polynomial by its v-th variable."""
+    out = Element.zero(p.ambient)
+    for m, c in p.t.items():
+        if m[v]:
+            out._add_term(m[:v] + (m[v] - 1,) + m[v + 1:], c * Scalar.rational(m[v]))
+    return out
+
+
+def sphere_harmonics_check(samples: dict) -> tuple:
+    """Each sample p of degree k, a polynomial in x, y, z (a commutative
+    three-generator :class:`BlockAlgebra`), is harmonic and restricts to the
+    sphere as an eigenfunction of its Laplacian with eigenvalue -k(k+1).
+
+    The sphere Laplacian is r^2 Lap - E(E+1) with E = x d/dx + y d/dy + z d/dz
+    (Lap = d_r^2 + (2/r) d_r + r^-2 Lap_S), so the second test is the exact
+    identity r^2 Lap p - E(E+1) p + k(k+1) p = 0.
+    """
+    euler = Laplacian(lambda d: sum(d) * (sum(d) + 1))  # E(E+1) on monomials
+    for k, p in samples.items():
+        amb = p.ambient
+        r2 = sum((amb.gen(v, 2) for v in range(3)), Element.zero(amb))
+        lap = sum((_partial(_partial(p, v), v) for v in range(3)), Element.zero(amb))
+        if not lap.is_zero():
+            return FAIL, f"sample for degree {k} is not harmonic"
+        if not (r2 * lap - euler.apply(p) + p * (k * (k + 1))).is_zero():
+            return FAIL, f"eigenvalue mismatch at degree {k}"
+    return PASS, f"eigenvalues -k(k+1) for k <= {max(samples)}"
 
 
 def build_sphere_scenario() -> Scenario:
@@ -421,37 +452,10 @@ def build_sphere_scenario() -> Scenario:
 
         # Laplacian eigenvalues on restricted harmonic polynomials
         def laplacian_oracle():
-            import sympy
-
-            x, y, z = sympy.symbols("x y z", real=True, positive=True)
-            th, ph = sympy.symbols("th ph", real=True)
-            subs = {
-                x: sympy.sin(th) * sympy.cos(ph),
-                y: sympy.sin(th) * sympy.sin(ph),
-                z: sympy.cos(th),
-            }
-            def sph_lap(f):
-                return (
-                    sympy.diff(sympy.sin(th) * sympy.diff(f, th), th) / sympy.sin(th)
-                    + sympy.diff(f, ph, 2) / sympy.sin(th) ** 2
-                )
-
-            samples = {
-                0: sympy.Integer(1),
-                1: z,
-                2: x * y,
-                3: (x + sympy.I * y) ** 3,
-            }
-            for k, p in samples.items():
-                if k:
-                    lap3 = sum(sympy.diff(p, v, 2) for v in (x, y, z))
-                    if sympy.simplify(lap3) != 0:
-                        return FAIL, f"sample for degree {k} is not harmonic"
-                f = p.subs(subs)
-                val = sympy.simplify(sph_lap(f) + k * (k + 1) * f)
-                if sympy.simplify(sympy.trigsimp(val)) != 0:
-                    return FAIL, f"eigenvalue mismatch at degree {k}"
-            return PASS, "eigenvalues -k(k+1) for k <= 3"
+            xyz = BlockAlgebra(["x", "y", "z"])
+            x, y, z = (xyz.gen(v) for v in range(3))
+            return sphere_harmonics_check({0: Element.unit(xyz), 1: z, 2: x * y,
+                                           3: (x + y * Scalar.root(Frac(1, 4))) ** 3})
 
         report.run("laplacian-oracle", "model", laplacian_oracle)
 
@@ -931,30 +935,29 @@ def build_deformation_scenario(theta: Frac | None = None) -> Scenario:
     sc.nf_rules = sc.member_rules = torus.member_rules
 
     def suite(report: Report):
-        # the numerical oscillatory integral fixes the sign convention, and
-        # the symbolic twisted product reproduces it on the same instances
+        # the exact finite oscillatory sum fixes the sign convention, and the
+        # twisted product reproduces it on the same instances
         def oracle():
-            import random
-
             rng = random.Random(20260826)
             c2 = commutative_torus()
-            checked = 0
             for _ in range(50):
                 p = [rng.randint(-5, 5), rng.randint(-5, 5)]
                 q = [rng.randint(-5, 5), rng.randint(-5, 5)]
-                th = rng.uniform(0.1, 0.9)
-                Jn = [[0.0, -th / 2.0], [th / 2.0, 0.0]]
-                a = [sum(p[k] * Jn[k][i] for k in range(2)) for i in range(2)]
-                val, _err = oscillatory_integral(a, q)
-                want = twist_phase(p, J, q).numeric(th)
-                if abs(val - want) > 1e-6:
-                    return FAIL, f"p={p}, q={q}, theta={th:.3f}: |{val} - {want}|"
+                s = rng.randint(2, 9)
+                th = Frac(rng.randint(1, s - 1), s)
+                # N * J^T p is an integer vector at theta = r/s when N = den * s
+                n = J.den * s
+                jtp = [sum((J[k][i] * p[k] for k in range(2)), ThetaLin()) for i in range(2)]
+                a = [int(n * (x.const + x.coef * th)) for x in jtp]
+                val = finite_oscillatory_sum(a, q, n)
+                want = twist_phase(p, J, q).specialize(th)
+                if not (val - want).is_zero():
+                    return FAIL, f"p={p}, q={q}, theta={th}: {val.render()} != {want.render()}"
                 prod = rieffel_product(c2.monomial(tuple(p)), c2.monomial(tuple(q)), J)
                 (coeff,) = prod.t.values()
-                if abs(coeff.numeric(th) - val) > 1e-6:
+                if not (coeff.specialize(th) - val).is_zero():
                     return FAIL, f"twisted-product coefficient off at p={p}, q={q}"
-                checked += 1
-            return PASS, f"{checked} random instances within 1e-6"
+            return PASS, "50 random rational instances exact"
 
         report.run("twist-sign-oracle", "model", oracle)
 

@@ -509,49 +509,59 @@ def solve_counit(P: CQGPresentation, cap: int) -> dict:
     """Solve (epsilon (x) id) Delta(g) = g for rational counit values.
 
     Epsilon is posed as a multiplicative *-functional with one rational
-    unknown per generator (so epsilon(word) is a product of the unknowns);
-    the resulting polynomial system is solved exactly and a unique real
-    rational solution is required.
+    unknown per generator, so epsilon(word) is a monomial in the unknowns,
+    kept as an exponent tuple with a Fraction coefficient.  The system is
+    solved by propagation: an equation whose part left after substituting
+    the values found so far is c * eps_g (plus a constant) fixes eps_g.
+    Every unknown must be fixed, and every equation must then hold exactly;
+    otherwise :class:`CounitSolveError` is raised.
     """
-    import sympy
-
     alg = P.algebra
     rules = P.rules(cap)
-    syms = {n: sympy.Symbol(f"eps_{n}", real=True) for n in alg.names}
+    nvars = len(alg.names)
+    const = (0,) * nvars
 
-    def word_value(w):
-        out = sympy.Integer(1)
-        for let in w:
-            out *= syms[alg.names[let // 2]]  # rational values are self-conjugate
-        return out
+    def add(eq, key, c):
+        eq[key] = eq.get(key, 0) + c
 
     equations = []
     for g in alg.names:
-        dg = P.coproduct[g]
         per_mono: dict = {}
-        for (w1, w2), c in dg.t.items():
-            if not c.is_rational():
-                raise CounitSolveError("non-rational coproduct coefficient")
-            nf2 = rules.normal_form(Element(alg, {w2: c}))
-            for m, cc in nf2.t.items():
-                per_mono[m] = per_mono.get(m, sympy.Integer(0)) + sympy.Rational(
-                    cc.rational_value()
-                ) * word_value(w1)
-        nfg = rules.normal_form(alg.gen(g))
-        for m in set(per_mono) | set(nfg.t):
-            rhs = nfg.coeff(m)
-            if not rhs.is_rational():
-                raise CounitSolveError("non-rational generator normal form")
-            equations.append(sympy.Eq(per_mono.get(m, sympy.Integer(0)),
-                                      sympy.Rational(rhs.rational_value())))
-    sols = sympy.solve(equations, list(syms.values()), dict=True)
-    sols = [s for s in sols if all(v.is_rational for v in s.values())]
-    if len(sols) != 1 or any(len(s) != len(syms) for s in sols):
-        raise CounitSolveError(f"counit system has {len(sols)} rational solutions")
-    sol = sols[0]
-    return {n: Scalar.rational(Frac(int(sympy.fraction(sol[syms[n]])[0]),
-                                    int(sympy.fraction(sol[syms[n]])[1])))
-            for n in alg.names}
+        for (w1, w2), c in P.coproduct[g].t.items():
+            # rational values are self-conjugate: a letter and its adjoint count alike
+            e = tuple(sum(let // 2 == i for let in w1) for i in range(nvars))
+            for m, cc in rules.normal_form(Element(alg, {w2: c})).t.items():
+                add(per_mono.setdefault(m, {}), e, cc)
+        for m, cc in rules.normal_form(alg.gen(g)).t.items():
+            add(per_mono.setdefault(m, {}), const, -cc)
+        equations.extend(per_mono.values())
+    if not all(c.is_rational() for eq in equations for c in eq.values()):
+        raise CounitSolveError("non-rational counit equation")
+    equations = [{e: c.rational_value() for e, c in eq.items()} for eq in equations]
+
+    values: dict = {}
+
+    def substituted(eq):
+        out: dict = {}
+        for e, c in eq.items():
+            for i, v in values.items():
+                c *= v ** e[i]
+            add(out, tuple(0 if i in values else x for i, x in enumerate(e)), c)
+        return {e: c for e, c in out.items() if c}
+
+    fixed = True
+    while fixed:
+        fixed = False
+        for eq in equations:
+            rest = substituted(eq)
+            unknown = [e for e in rest if e != const]
+            if len(unknown) == 1 and sum(unknown[0]) == 1:
+                e = unknown[0]
+                values[e.index(1)] = -rest.get(const, Frac(0)) / rest[e]
+                fixed = True
+    if len(values) != nvars or any(substituted(eq) for eq in equations):
+        raise CounitSolveError(f"counit system fixes {len(values)} of {nvars} values")
+    return {n: Scalar.rational(values[i]) for i, n in enumerate(alg.names)}
 
 
 # ---------------------------------------------------------------------------

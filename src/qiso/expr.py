@@ -179,11 +179,7 @@ class _Parser:
     def parse_atom(self):
         k, v = self.take()
         if k == "INT":
-            if self.peek() == ("SYM", "/"):
-                self.take()
-                den = self.expect("INT")
-                return Scalar.rational(Frac(v, den))
-            return Scalar.rational(v)
+            return Scalar.rational(self.parse_ratio(v))
         if k == "IDENT":
             if v == "e" and self.peek() == ("SYM", "("):
                 self.take()
@@ -199,6 +195,16 @@ class _Parser:
             self.expect("SYM", ")")
             return e
         raise ParseError(f"unexpected token {v!r}")
+
+    # ratio := INT ['/' INT], the numerator already taken
+    def parse_ratio(self, num: int) -> Fraction:
+        if self.peek() != ("SYM", "/"):
+            return Frac(num)
+        self.take()
+        den = self.expect("INT")
+        if den == 0:
+            raise ParseError(f"zero denominator in {num}/{den}")
+        return Frac(num, den)
 
     # exponent := ['-'] item (('+'|'-') item)*;  item := rat ['*' t] | t
     def parse_exponent(self):
@@ -221,10 +227,7 @@ class _Parser:
         if k == "IDENT" and v == "t":
             return ThetaLin(0, 1)
         if k == "INT":
-            q = Frac(v)
-            if self.peek() == ("SYM", "/"):
-                self.take()
-                q = Frac(v, self.expect("INT"))
+            q = self.parse_ratio(v)
             if self.peek() == ("SYM", "*"):
                 self.take()
                 self.expect("IDENT", "t")
@@ -246,6 +249,8 @@ def _star(x):
 
 def _power(x, p: int):
     if isinstance(x, Scalar):
+        if p < 0 and not x.is_unit():
+            raise ParseError(f"negative power of the non-invertible scalar {x.render()}")
         return x**p
     if p < 0:
         return x.star() ** (-p)

@@ -11,8 +11,8 @@ product of homogeneous elements of degrees p, q is
 
     a x_J b = e(SIGMA * p.Jq) * ab
 
-with the global sign SIGMA fixed once by the numerical oscillatory-integral
-oracle :func:`oscillatory_integral` (see ``tests`` for the fixing run).  For
+with the global sign SIGMA fixed by the sign of the oscillatory integral,
+which :func:`finite_oscillatory_sum` evaluates exactly on (Z/N)^n.  For
 bi-graded elements the same formula with the doubled matrix
 Jtilde = (-J) (+) J gives the companion product used on quantum-group models.
 
@@ -30,15 +30,15 @@ import math
 from fractions import Fraction
 
 from .freealg import Element
-from .scalars import Scalar, ThetaLin
+from .scalars import Cyclo, Scalar, ThetaLin
 
 Frac = Fraction
 
-#: Global sign in the twisted-product phase e(SIGMA * p.Jq).  Determined by
-#: evaluating the regularized oscillatory integral
-#:   I = int int e(p.Ju) e(q.v) e(u.v) du dv  ->  e(-p.Jq)
-#: numerically (Gaussian regularization, closed form, eps -> 0); the fixing
-#: run is test_graded.py::test_oracle_fixes_sigma.
+#: Global sign in the twisted-product phase e(SIGMA * p.Jq): the sign of
+#:   int int e((J^T p).u + q.v + u.v) du dv  =  e(-p.Jq),
+#: pinned by its exact finite counterpart :func:`finite_oscillatory_sum` in
+#: the deformation suite's twist-sign-oracle and in
+#: test_graded.py::TestTwist::test_oracle_fixes_global_sign.
 SIGMA = -1
 
 
@@ -390,48 +390,29 @@ def collapse_phase(p, J: SkewMatrix, q) -> Scalar:
 
     (J^T p).q = p.Jq comes from the integer forms of J.  The sign is that of
     the integral, not SIGMA, so the twist identities test the sign convention
-    of :func:`twist_phase`.  This is the symbolic counterpart of
-    :func:`oscillatory_integral`, with the same normalisation (the integral
-    of e(u.v) alone is 1).
+    of :func:`twist_phase`.  :func:`finite_oscillatory_sum` is its finite
+    counterpart, with the same normalisation (the integral of e(u.v) alone
+    is 1).
     """
     a, b = J.forms(p, q)
     return J.exponential(-a, -b)
 
 
-def oscillatory_integral(a, b, eps_schedule=None):
-    """Numerically evaluate  int int e(a.u) e(b.v) e(u.v) du dv  over R^n x R^n.
+def finite_oscillatory_sum(a, b, n: int) -> Scalar:
+    """n^-d sum over u, v in (Z/n)^d of e((a.u + b.v + u.v)/n), exactly.
 
-    Gaussian regularization: the integrand is damped by
-    exp(-pi*eps*(|u|^2+|v|^2)); for each eps the integral is a Gaussian-
-    Fresnel integral evaluated in closed form, and the values are
-    extrapolated over a decreasing eps schedule.  Returns (value, err)
-    where err estimates the extrapolation error.
+    For integer vectors a, b the sum over v vanishes unless u = -b, so the
+    value is e(-a.b/n): the finite counterpart of the integral in
+    :func:`collapse_phase`, with the same sign.  Each coordinate is summed on
+    its own: its exponents are counted mod n as integers, and
+    sum_j count_j * e(j/n) is formed once.
     """
-    import numpy as np
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = len(a)
-    c = np.concatenate([a, b])
-    S = np.zeros((2 * n, 2 * n))
-    S[:n, n:] = np.eye(n)
-    S[n:, :n] = np.eye(n)
-    if eps_schedule is None:
-        eps_schedule = [10.0 ** (-k) for k in range(2, 9)]
-
-    def value(eps):
-        M = eps * np.eye(2 * n) - 1j * S
-        det = np.linalg.det(M)
-        sol = np.linalg.solve(M, c)
-        return det ** (-0.5) * np.exp(-np.pi * np.dot(c, sol))
-
-    vals = [value(e) for e in eps_schedule]
-    # Richardson: I(eps) = I0 + c1*eps + O(eps^2)
-    extr = [
-        (e1 * v2 - e2 * v1) / (e1 - e2)
-        for (e1, v1), (e2, v2) in zip(
-            zip(eps_schedule, vals), list(zip(eps_schedule, vals))[1:]
-        )
-    ]
-    err = abs(extr[-1] - extr[-2])
-    return extr[-1], err
+    out = Cyclo.rational(1)
+    for ai, bi in zip(a, b):
+        counts = [0] * n
+        for u in range(n):
+            for v in range(n):
+                counts[(ai * u + bi * v + u * v) % n] += 1
+        out = out * sum((Cyclo.rational(Frac(c, n)) * Cyclo.root(Frac(j, n))
+                         for j, c in enumerate(counts) if c), Cyclo.zero())
+    return Scalar({Frac(0): out})

@@ -93,7 +93,7 @@ def test_criterion_07_deformation_oracle(scenario_cache):
     _require(
         report,
         ["twist-sign-oracle"],
-        "7 (oscillatory oracle fixes the sign; twisted product matches numerically)",
+        "7 (exact finite oscillatory sum fixes the sign; twisted product matches it)",
     )
 
 

@@ -10,9 +10,11 @@ from qiso.catalog import (
     family_elements,
     matrix_m,
     nf_model_coherence,
+    sphere_harmonics_check,
     torus_block,
 )
 from qiso.freealg import Element
+from qiso.graded import BlockAlgebra
 from qiso.rewrite import RuleSet
 from qiso.scalars import Scalar, ThetaLin
 
@@ -148,6 +150,26 @@ class TestSuiteCompletions:
         assert completions.count((member_alg, sc.member_cap)) == 1
         assert sum(r.name.startswith(("membership[", "coefficient-commutators"))
                    for r in report.results) == checks
+
+
+class TestSphereHarmonics:
+    @pytest.fixture
+    def xyz(self):
+        return [BlockAlgebra(["x", "y", "z"]).gen(v) for v in range(3)]
+
+    def test_samples_pass(self, xyz):
+        x, y, z = xyz
+        samples = {1: x + y * 2, 2: x * x - z * z, 3: x * y * z}
+        assert sphere_harmonics_check(samples) == ("PASS", "eigenvalues -k(k+1) for k <= 3")
+
+    def test_x_squared_is_not_harmonic(self, xyz):
+        x, _y, _z = xyz
+        assert sphere_harmonics_check({2: x * x}) == (
+            "FAIL", "sample for degree 2 is not harmonic")
+
+    def test_wrong_degree_is_a_mismatch(self, xyz):
+        x, y, _z = xyz
+        assert sphere_harmonics_check({1: x * y}) == ("FAIL", "eigenvalue mismatch at degree 1")
 
 
 class TestSuites:

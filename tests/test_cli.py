@@ -82,6 +82,22 @@ class TestMember:
         assert "unknown generator" in captured.err
 
 
+class TestZeroDenominator:
+    @pytest.mark.parametrize("argv", [
+        ["nf", "torus", "1/0 U"],
+        ["nf", "torus", "e(1/0) U"],
+        ["nf", "torus", "0^-1 U"],
+        ["member", "torus", "1/0"],
+    ])
+    def test_usage_error_without_traceback(self, capsys, argv):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
 class TestVerify:
     def test_circle_suite_json(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -30,7 +30,7 @@ from qiso.cqg import (
 )
 from qiso.freealg import Element, FreeAlgebra, substitute, substitute_factors, tensor
 from qiso.graded import BlockAlgebra, DirectSum, tau
-from qiso.presfile import load_data
+from qiso.presfile import load_data, loads
 from qiso.scalars import Scalar, ThetaLin
 
 
@@ -142,6 +142,17 @@ class TestSolveCounit:
         assert (eps["U"] - Scalar.one()).is_zero()
         assert (eps["P"] - Scalar.one()).is_zero()
 
+    def test_free_counit_raises(self):
+        # Delta(P) = 1 (x) P gives P = P, which leaves epsilon(P) free
+        P = loads("[generators]\nP selfadjoint\n[coproduct]\nP : 1 (x) P\n")
+        with pytest.raises(CounitSolveError):
+            solve_counit(P, cap=4)
+
+    def test_double_torus_counit(self):
+        P = load_data("double_torus.pres")
+        eps = solve_counit(P, cap=4)
+        assert all((eps[n] - P.counit[n]).is_zero() for n in P.algebra.names)
+
 
 def _circle_with_model():
     """The circle's U, P presentation with its classical two-block model."""
@@ -197,16 +208,23 @@ class TestSolveHaarWeights:
             solve_haar_weights(P, degree=1)
 
     def test_exact_paths_do_not_load_numpy(self):
+        # numpy and sympy cannot be imported; the exact suites still pass
         code = (
             "import sys\n"
             "from fractions import Fraction\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] in ('numpy', 'sympy'):\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, Block())\n"
             "from qiso import build, catalog, cqg\n"
             "assert build('circle').suite().ok()\n"
+            "assert build('sphere').suite().ok()\n"
             "bp = build('torus').b_presentation\n"
             "words = catalog.block_projector_words(bp.algebra)\n"
             "weights, unique = cqg.solve_haar_weights(bp, degree=1, extra_words=words)\n"
             "assert unique and weights == [Fraction(1, 8)] * 8\n"
-            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+            "assert not {'numpy', 'sympy'} & set(sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(qiso.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

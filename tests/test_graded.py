@@ -16,9 +16,9 @@ from qiso.graded import (
     collapse_phase,
     deform_block,
     deform_sum,
+    finite_oscillatory_sum,
     j_double,
     j_torus,
-    oscillatory_integral,
     pair,
     rieffel_product,
     skew_matrix,
@@ -115,20 +115,37 @@ class TestTwist:
         bwd = twist_phase(q, J, p)
         assert (fwd * bwd - Scalar.one()).is_zero()
 
-    def test_oracle_fixes_global_sign(self):
-        # the numerically computed regularized integral agrees with the
-        # symbolic phase for the pinned sign on random instances
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ab=st.lists(st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+                    min_size=1, max_size=2),
+        n=st.integers(1, 18),
+    )
+    def test_finite_oscillatory_sum(self, ab, n):
+        # n^-d sum_{u,v} e((a.u + b.v + u.v)/n) = e(-a.b/n), exactly
+        a, b = zip(*ab)
+        want = Scalar.root(Fraction(-sum(x * y for x, y in zip(a, b)), n))
+        assert (finite_oscillatory_sum(a, b, n) - want).is_zero()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+        q=st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+        r=st.integers(-12, 12),
+        s=st.integers(1, 9),
+    )
+    def test_oracle_fixes_global_sign(self, p, q, r, s):
+        # at theta = r/s, N = den * s makes a = N J^T p integral, and the
+        # exact finite sum equals the phase with the pinned sign
         J = j_torus()
-        rng = random.Random(7)
-        for _ in range(10):
-            p = [rng.randint(-4, 4), rng.randint(-4, 4)]
-            q = [rng.randint(-4, 4), rng.randint(-4, 4)]
-            th = rng.uniform(0.1, 0.9)
-            Jn = [[0.0, -th / 2.0], [th / 2.0, 0.0]]
-            a = [sum(p[k] * Jn[k][i] for k in range(2)) for i in range(2)]
-            val, err = oscillatory_integral(a, q)
-            assert err < 1e-6
-            assert abs(val - twist_phase(p, J, q).numeric(th)) < 1e-6
+        th = Fraction(r, s)
+        n = J.den * s
+        jtp = [sum((J[k][i] * p[k] for k in range(2)), ThetaLin()) for i in range(2)]
+        a = [n * (x.const + x.coef * th) for x in jtp]
+        assert all(x.denominator == 1 for x in a)
+        val = finite_oscillatory_sum([int(x) for x in a], q, n)
+        assert (val - twist_phase(p, J, q).specialize(th)).is_zero()
+        assert (val - collapse_phase(p, J, q).specialize(th)).is_zero()
 
     def test_rieffel_product_deforms_commutative_torus(self):
         blk = BlockAlgebra(["U", "V"], bidegrees=[(1, 0), (0, 1)])
