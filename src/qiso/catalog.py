@@ -154,7 +154,7 @@ def build_circle_scenario() -> Scenario:
     source_rels = [z * zs - one_c, zs * z - one_c]
     table = {"z": tensor(z, A) + tensor(zs, B)}
     ca_rules = RuleSet(ca, source_rels, cap=8)
-    act = ActionSpec(ca, source_rels, table, rulesets=(ca_rules, None), name="circle")
+    act = ActionSpec(ca, source_rels, table, source_rules=ca_rules, name="circle")
 
     upres = load_data("circle.pres")  # U, P presentation with coproduct
     ua = upres.algebra
@@ -356,7 +356,7 @@ def build_sphere_scenario() -> Scenario:
         xa,
         commutators + [sphere_rel],
         table,
-        rulesets=(x_rules, None),
+        source_rules=x_rules,
         name="sphere",
     )
 
@@ -448,7 +448,7 @@ def build_sphere_scenario() -> Scenario:
             return RuleSet(qa, star_close(rels), cap=4)
 
         M = [[_sphere_q(qa, i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
-        check_unitary_matrix(M, report=report, rules=build_rules(), name="Q")
+        check_unitary_matrix(M, report=report, rules=build_rules, name="Q")
 
         # Laplacian eigenvalues on restricted harmonic polynomials
         def laplacian_oracle():
@@ -618,7 +618,7 @@ def torus_action(elems: dict, theta: Frac | None = None) -> ActionSpec:
         + tensor(U.star(), elems["C2"]) + tensor(V.star(), elems["D2"]),
     }
     src, src_rels = _torus_source(theta)
-    return ActionSpec(src, src_rels, table, rulesets=(None, None), name="torus")
+    return ActionSpec(src, src_rels, table, name="torus")
 
 
 def build_torus_scenario(theta: Frac | None = None) -> Scenario:
@@ -1038,7 +1038,7 @@ def nf_model_coherence(comm_exponent: int, theta: Frac | None = None,
     torus block with V U = e(comm_exponent * t) U V.
 
     Returns the number of words checked; raises AssertionError on the first
-    disagreement.
+    disagreement (explicitly, so the check holds under ``python -O``).
     """
     mu = _torus_phase(comm_exponent, theta)
     alg = FreeAlgebra(["U", "V"])
@@ -1067,12 +1067,10 @@ def nf_model_coherence(comm_exponent: int, theta: Frac | None = None,
     for _ in range(max_len):
         frontier = [(w * x, val * img) for w, val in frontier for x, img in letters]
         for w, val in frontier:
-            nf = rules.normal_form(w)
-            diff = substitute(nf, images) - val
-            assert diff.is_zero(), (
-                f"normal form of {w.render()} disagrees with the model: "
-                f"{diff.render()}"
-            )
+            diff = substitute(rules.normal_form(w), images) - val
+            if not diff.is_zero():
+                raise AssertionError(f"normal form of {w.render()} disagrees with the model: "
+                                     f"{diff.render()}")
             count += 1
     return count
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .graded import (
     block_diag,
     collapse_phase,
     j_double,
+    phased_product,
     rieffel_product,
     tau,
     twist_phase,
@@ -171,21 +173,26 @@ class CQGPresentation:
 
 @dataclass
 class ActionSpec:
-    """An action table  source generator -> element of  source (x) target."""
+    """An action table  source generator -> element of  source (x) target.
+
+    ``table`` is not mutated after construction: the images alpha(U^m V^n)
+    are memoised in ``monomials`` on first use (:func:`alpha_monomial`).
+    """
 
     source: FreeAlgebra
     source_relations: list
     table: dict  # name -> Element in Tensor(source ambient, target ambient)
-    rulesets: tuple = (None, None)  # per-tensor-factor reduction (or None = exact)
+    source_rules: RuleSet | None = None  # reduction of the source factor (None = exact)
     name: str = ""
+    monomials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply(self, elem: Element) -> Element:
         return substitute(elem, self.table)
 
     def reduce(self, elem: Element) -> Element:
-        if all(r is None for r in self.rulesets):
+        if self.source_rules is None:
             return elem
-        return reduce_tensor(elem, self.rulesets)
+        return reduce_tensor(elem, (self.source_rules, None))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +203,7 @@ class ActionSpec:
 def check_hom(act: ActionSpec, report: Report | None = None) -> Report:
     """The action respects every source relation (modulo target relations)."""
     report = report or Report(f"hom:{act.name}")
-    presentation = any(r is not None for r in act.rulesets)
+    presentation = act.source_rules is not None
     mode = "presentation" if presentation else "model"
     for i, r in enumerate(act.source_relations):
         def one(r=r):
@@ -222,9 +229,7 @@ def extract_relations(act: ActionSpec, relation: Element, targets=None) -> list:
     list of source basis monomials.
     """
     image = relation if isinstance(relation.ambient, TensorAlgebra) else act.apply(relation)
-    a_rules = act.rulesets[0]
-    if a_rules is not None:
-        image = reduce_tensor(image, (a_rules, None))
+    image = act.reduce(image)
     amb = image.ambient
     assert isinstance(amb, TensorAlgebra)
     q_amb = amb.factors[1]
@@ -258,16 +263,34 @@ def same_relation_set(got, expected) -> bool:
 
 
 def alpha_monomial(act: ActionSpec, m: int, n: int) -> Element:
-    """alpha(U^m V^n) for the two source generators U, V of the action; a
-    negative power is a power of the adjoint image."""
-    amb = next(iter(act.table.values())).ambient
-    out = tensor(Element.unit(amb.factors[0]), Element.unit(amb.factors[1]))
-    for name, k in ((act.source.names[0], m), (act.source.names[1], n)):
-        base = act.table[name]
-        if k < 0:
-            base, k = base.star(), -k
-        for _ in range(k):
-            out = out * base
+    """alpha(U^m V^n) = alpha(U)^m alpha(V)^n for the two source generators
+    U, V of the action; a negative power is a power of the adjoint image.
+
+    Each image is the image one letter shorter times the image of its last
+    letter, memoised in ``act.monomials``; callers must not mutate it.
+    """
+    out = act.monomials.get((m, n))
+    if out is None:
+        if n or m:
+            i, k = (1, n) if n else (0, m)
+            step = 1 if k > 0 else -1
+            base = act.table[act.source.names[i]]
+            prev = alpha_monomial(act, m, n - step) if n else alpha_monomial(act, m - step, 0)
+            out = prev * (base if step > 0 else base.star())
+        else:
+            amb = next(iter(act.table.values())).ambient
+            out = tensor(Element.unit(amb.factors[0]), Element.unit(amb.factors[1]))
+        act.monomials[(m, n)] = out
+    return out
+
+
+def alpha_of(act: ActionSpec, x: Element) -> Element:
+    """alpha extended linearly over x, an element of the action's source
+    block (monomials U^m V^n)."""
+    out = Element.zero(alpha_monomial(act, 0, 0).ambient)
+    for (m, n), c in x.t.items():
+        for mono, d in alpha_monomial(act, m, n).t.items():
+            out._add_term(mono, d * c)
     return out
 
 
@@ -569,14 +592,17 @@ def solve_counit(P: CQGPresentation, cap: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_unitary_matrix(M, report: Report | None = None, rules: RuleSet | None = None,
-                         name: str = "matrix") -> Report:
-    """All entries of MM* - I and M*M - I vanish (exactly, or modulo rules)."""
+def check_unitary_matrix(M, report: Report | None = None,
+                         rules: Callable[[], RuleSet] | None = None, name: str = "matrix") -> Report:
+    """All entries of MM* - I and M*M - I vanish (exactly, or modulo the
+    system that ``rules()`` builds once, inside the first entry check)."""
     report = report or Report(f"unitary:{name}")
     n = len(M)
     amb = M[0][0].ambient
     one = Element.unit(amb)
     mode = "model" if rules is None else "presentation"
+    if rules is not None:
+        rules = functools.cache(rules)
     for i in range(n):
         for j in range(n):
             def entry(i=i, j=j):
@@ -588,7 +614,7 @@ def check_unitary_matrix(M, report: Report | None = None, rules: RuleSet | None 
                 delta = one if i == j else Element.zero(amb)
                 d1, d2 = lhs - delta, rhs - delta
                 if rules is not None:
-                    d1, d2 = rules.normal_form(d1), rules.normal_form(d2)
+                    d1, d2 = rules().normal_form(d1), rules().normal_form(d2)
                 if d1.is_zero() and d2.is_zero():
                     return PASS, ""
                 st = FAIL if rules is None else UNDECIDED
@@ -703,22 +729,14 @@ def check_deformed_hom(act: ActionSpec, J, degree_bound: int = 3,
 
     def deformed_hom():
         Jb = block_diag(J, j_double(J))
-        cache = {mn: alpha_monomial(act, *mn) for mn in monos}
         failures = []
-        for (m1, n1) in monos:
-            a = a_amb.monomial((m1, n1))
-            aa = cache[(m1, n1)]
-            for (m2, n2) in monos:
-                b = a_amb.monomial((m2, n2))
-                lhs = bullet_product(aa, cache[(m2, n2)], Jb)
-                ab = rieffel_product(a, b, J)
-                rhs = Element.zero(aa.ambient)
-                for mono, c in ab.t.items():
-                    if mono not in cache:
-                        cache[mono] = alpha_monomial(act, *mono)
-                    rhs = rhs + cache[mono] * c
+        for mn1 in monos:
+            a = a_amb.monomial(mn1)
+            for mn2 in monos:
+                lhs = bullet_product(alpha_monomial(act, *mn1), alpha_monomial(act, *mn2), Jb)
+                rhs = alpha_of(act, rieffel_product(a, a_amb.monomial(mn2), J))
                 if not (lhs - rhs).is_zero():
-                    failures.append(((m1, n1), (m2, n2)))
+                    failures.append((mn1, mn2))
         pairs = len(monos) ** 2
         if failures:
             return FAIL, f"{len(failures)}/{pairs} pairs differ, e.g. {failures[0]}"
@@ -726,12 +744,6 @@ def check_deformed_hom(act: ActionSpec, J, degree_bound: int = 3,
 
     report.run("deformed-hom", "model", deformed_hom)
     return report
-
-
-def _chi(amb, m, side):
-    bd = amb.bidegree(m)
-    half = len(bd) // 2
-    return bd[:half] if side == 0 else bd[half:]
 
 
 def odot(x: Element, y: Element, Jt: SkewMatrix) -> Element:
@@ -745,29 +757,35 @@ def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
     """Convolution/twist identities on bihomogeneous monomials.
 
     All oscillatory integrals are replaced by their exact phase-collapse
-    values  int int e(c1.u + c2.v + u.v) du dv = e(-c1.c2).
+    values  int int e(c1.u + c2.v + u.v) du dv = e(-c1.c2), taken on the left
+    or right characters (halves of a bidegree) as phases of ``phased_product``.
     """
     report = report or Report("twist-identities")
     a_amb, q_amb = next(iter(act.table.values())).ambient.factors
     rng = range(-degree_bound, degree_bound + 1)
     monos = [(m, n) for m in rng for n in rng]
+    Jt = j_double(J)
 
-    # built by the first check that needs it, so that its time is counted there
-    @functools.cache
-    def alphas():
-        return {mn: alpha_monomial(act, *mn) for mn in monos}
+    def left_phase(p, q):
+        # int (Omega(Ju) conv x) odot (Omega(v) conv y) e(u.v)
+        return collapse_phase(p[:2], J, q[:2]) * twist_phase(p, Jt, q)
+
+    def right_phase(p, q):
+        # int (x conv Omega(Ju)) (y conv Omega(v)) e(u.v)
+        return collapse_phase(p[2:], J, q[2:])
+
+    def q_grading(m):
+        return q_amb.bidegree(m[1])
 
     def twist_interchange():
-        # int (Omega(Ju) conv x) odot (Omega(v) conv y) e(u.v)
-        #   = int (x conv Omega(Ju)) (y conv Omega(v)) e(u.v)
-        Jt = j_double(J)
-        q_monos = sorted({qm for mn in monos for (_am, qm) in alphas()[mn].t}, key=_render_key)
+        q_monos = sorted({qm for mn in monos for (_am, qm) in alpha_monomial(act, *mn).t},
+                         key=_render_key)
         for mx in q_monos:
             x = Element(q_amb, {mx: Scalar.one()})
             for my in q_monos:
                 y = Element(q_amb, {my: Scalar.one()})
-                lhs = odot(x, y, Jt) * collapse_phase(_chi(q_amb, mx, 0), J, _chi(q_amb, my, 0))
-                rhs = (x * y) * collapse_phase(_chi(q_amb, mx, 1), J, _chi(q_amb, my, 1))
+                lhs = phased_product(x, y, left_phase, q_amb.bidegree)
+                rhs = phased_product(x, y, right_phase, q_amb.bidegree)
                 if not (lhs - rhs).is_zero():
                     return FAIL, f"pair {q_amb.render_mono(mx)}, {q_amb.render_mono(my)}"
         return PASS, f"{len(q_monos) ** 2} bihomogeneous pairs"
@@ -777,61 +795,35 @@ def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
         # per term of alpha(a), the right character of the quantum-group leg
         # must equal the torus degree of a.
         for (m, n) in monos:
-            for (_am, qm) in alphas()[(m, n)].t:
-                if tuple(_chi(q_amb, qm, 1)) != (m, n):
-                    return FAIL, f"term of alpha({m},{n}) has right character {_chi(q_amb, qm, 1)}"
+            for (_am, qm) in alpha_monomial(act, m, n).t:
+                chi = q_amb.bidegree(qm)[2:]
+                if chi != (m, n):
+                    return FAIL, f"term of alpha({m},{n}) has right character {chi}"
         return PASS, f"{len(monos)} monomials"
 
     def action_of_deformed_product():
         # alpha(a x_J b) = a1 b1 (x) int (a2 conv Omega(Ju)) (b2 conv Omega(v)) e(u.v)
-        alpha_cache = alphas()
-        for (m1, n1) in monos:
-            a = a_amb.monomial((m1, n1))
-            for (m2, n2) in monos:
-                b = a_amb.monomial((m2, n2))
-                ab = rieffel_product(a, b, J)
-                lhs = Element.zero(alpha_cache[(0, 0)].ambient)
-                for mono, c in ab.t.items():
-                    if mono not in alpha_cache:
-                        alpha_cache[mono] = alpha_monomial(act, *mono)
-                    lhs = lhs + alpha_cache[mono] * c
-                rhs = Element.zero(lhs.ambient)
-                for (am1, qm1), c1 in alpha_cache[(m1, n1)].t.items():
-                    a1, x1 = Element(a_amb, {am1: Scalar.one()}), Element(q_amb, {qm1: Scalar.one()})
-                    chi1 = _chi(q_amb, qm1, 1)
-                    for (am2, qm2), c2 in alpha_cache[(m2, n2)].t.items():
-                        ph = collapse_phase(chi1, J, _chi(q_amb, qm2, 1))
-                        term = tensor(
-                            a1 * Element(a_amb, {am2: Scalar.one()}),
-                            x1 * Element(q_amb, {qm2: Scalar.one()}),
-                        )
-                        rhs = rhs + term * (c1 * c2 * ph)
+        for mn1 in monos:
+            a = a_amb.monomial(mn1)
+            for mn2 in monos:
+                lhs = alpha_of(act, rieffel_product(a, a_amb.monomial(mn2), J))
+                rhs = phased_product(alpha_monomial(act, *mn1), alpha_monomial(act, *mn2),
+                                     right_phase, q_grading)
                 if not (lhs - rhs).is_zero():
-                    return FAIL, f"pair {(m1, n1)}, {(m2, n2)}"
+                    return FAIL, f"pair {mn1}, {mn2}"
         return PASS, f"{len(monos) ** 2} pairs"
 
     def deformed_product_of_action():
         # alpha(a) bullet_J alpha(b)
         #   = a1 b1 (x) int (Omega(Ju) conv a2) odot (Omega(v) conv b2) e(u.v)
-        alpha_cache = alphas()
-        Jt = j_double(J)
         Jb = block_diag(J, Jt)
-        for (m1, n1) in monos:
-            for (m2, n2) in monos:
-                lhs = bullet_product(alpha_cache[(m1, n1)], alpha_cache[(m2, n2)], Jb)
-                rhs = Element.zero(lhs.ambient)
-                for (am1, qm1), c1 in alpha_cache[(m1, n1)].t.items():
-                    a1, x1 = Element(a_amb, {am1: Scalar.one()}), Element(q_amb, {qm1: Scalar.one()})
-                    chi0 = _chi(q_amb, qm1, 0)
-                    for (am2, qm2), c2 in alpha_cache[(m2, n2)].t.items():
-                        ph = collapse_phase(chi0, J, _chi(q_amb, qm2, 0))
-                        term = tensor(
-                            a1 * Element(a_amb, {am2: Scalar.one()}),
-                            odot(x1, Element(q_amb, {qm2: Scalar.one()}), Jt),
-                        )
-                        rhs = rhs + term * (c1 * c2 * ph)
+        for mn1 in monos:
+            for mn2 in monos:
+                x, y = alpha_monomial(act, *mn1), alpha_monomial(act, *mn2)
+                lhs = bullet_product(x, y, Jb)
+                rhs = phased_product(x, y, left_phase, q_grading)
                 if not (lhs - rhs).is_zero():
-                    return FAIL, f"pair {(m1, n1)}, {(m2, n2)}"
+                    return FAIL, f"pair {mn1}, {mn2}"
         return PASS, f"{len(monos) ** 2} pairs"
 
     report.run("twist-interchange", "model", twist_interchange)
@@ -862,7 +854,6 @@ def check_haar_twist_invariance(model_ambient: DirectSum, weights, J,
 
     def invariance():
         Jt = j_double(J)
-        bidegree = model_ambient.bidegree
         count = 0
         for m1 in monos:
             a = Element(model_ambient, {m1: Scalar.one()})
@@ -870,9 +861,8 @@ def check_haar_twist_invariance(model_ambient: DirectSum, weights, J,
                 if m1[0] != m2[0]:
                     continue  # cross-block products vanish on both sides
                 b = Element(model_ambient, {m2: Scalar.one()})
-                ab = a * b
-                lhs = haar(ab * twist_phase(bidegree(m1), Jt, bidegree(m2)), weights)
-                rhs = haar(ab, weights)
+                lhs = haar(odot(a, b, Jt), weights)
+                rhs = haar(a * b, weights)
                 count += 1
                 if not (lhs - rhs).is_zero():
                     return FAIL, f"pair {m1}, {m2}"

@@ -20,8 +20,9 @@ Phases are computed from integers.  A :class:`SkewMatrix` carries its
 integer form J = (C + T*t)/den, built once with the matrix (every matrix the
 package builds is t/2 times an integer matrix), so den * p.Jq is the integer
 pair (p^T C q, p^T T q).  The exponential of each such pair is memoised on
-the matrix, and :func:`rieffel_product` groups each operand's terms by
-degree, so a product takes one phase per pair of degrees.
+the matrix.  Every twisted product goes through one kernel,
+:func:`phased_product`, which groups each operand's terms by degree and so
+takes one phase per pair of degrees.
 """
 
 from __future__ import annotations
@@ -306,30 +307,37 @@ def _by_degree(x: Element, grading) -> dict:
     return groups
 
 
+def phased_product(x: Element, y: Element, phase, grading) -> Element:
+    """x times y with the scalar ``phase(p, q)`` on each pair of terms of
+    degrees p and q (``grading`` maps a monomial to its integer degree
+    vector).  The terms are grouped by degree, so ``phase`` is called once
+    per pair of degrees.  Every twisted product in the package is this kernel.
+    """
+    amb = x.ambient
+    mul_mono = amb.mul_mono
+    out = Element.zero(amb)
+    ys = _by_degree(y, grading).items()
+    for p, xterms in _by_degree(x, grading).items():
+        for q, yterms in ys:
+            ph = phase(p, q)
+            for m1, c1 in xterms:
+                c1p = c1 * ph
+                for m2, c2 in yterms:
+                    c = c1p * c2
+                    for pc, pm in mul_mono(m1, m2):
+                        out._add_term(pm, c * pc)
+    return out
+
+
 def rieffel_product(x: Element, y: Element, J: SkewMatrix, grading=None) -> Element:
     """Twisted product of graded elements: phase e(SIGMA*p.Jq) times ab.
 
     ``grading`` maps a monomial to its integer degree vector; by default the
     ambient ``degree_vec`` (block algebras) is used.  Pass
     ``grading=ambient.bidegree`` together with ``j_double(J)`` for the
-    companion product on bi-graded quantum-group models.  The terms of each
-    operand are grouped by degree, so there is one phase per degree pair.
+    companion product on bi-graded quantum-group models.
     """
-    amb = x.ambient
-    grading = grading or amb.degree_vec
-    mul_mono = amb.mul_mono
-    out = Element.zero(amb)
-    ys = _by_degree(y, grading).items()
-    for p, xterms in _by_degree(x, grading).items():
-        for q, yterms in ys:
-            phase = twist_phase(p, J, q)
-            for m1, c1 in xterms:
-                c1p = c1 * phase
-                for m2, c2 in yterms:
-                    c = c1p * c2
-                    for pc, pm in mul_mono(m1, m2):
-                        out._add_term(pm, c * pc)
-    return out
+    return phased_product(x, y, lambda p, q: twist_phase(p, J, q), grading or x.ambient.degree_vec)
 
 
 def deform_block(block: BlockAlgebra, J, use_bidegrees=False) -> BlockAlgebra:

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import qiso
 from qiso.catalog import (
     BUILDERS,
     build,
@@ -13,6 +17,7 @@ from qiso.catalog import (
     sphere_harmonics_check,
     torus_block,
 )
+from qiso.cqg import Report
 from qiso.freealg import Element
 from qiso.graded import BlockAlgebra
 from qiso.rewrite import RuleSet
@@ -136,6 +141,25 @@ class TestCoherenceHelper:
     def test_specialized(self):
         assert nf_model_coherence(-1, theta=Fraction(1, 3), max_len=3) == 84
 
+    def test_disagreement_raises_without_asserts(self):
+        # under python -O, with every normal form forced to 0, the first word
+        # still raises instead of counting as checked
+        code = (
+            "from qiso import catalog, rewrite\n"
+            "from qiso.freealg import Element\n"
+            "rewrite.RuleSet.normal_form = lambda self, elem: Element.zero(elem.ambient)\n"
+            "try:\n"
+            "    print('returned', catalog.nf_model_coherence(0, max_len=2))\n"
+            "except AssertionError as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qiso.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised normal form of U disagrees with the model: -U"
+
 
 class TestSuiteCompletions:
     """Each suite completes its membership system once, however many
@@ -150,6 +174,31 @@ class TestSuiteCompletions:
         assert completions.count((member_alg, sc.member_cap)) == 1
         assert sum(r.name.startswith(("membership[", "coefficient-commutators"))
                    for r in report.results) == checks
+
+    @pytest.mark.parametrize("name", ["circle", "sphere", "torus", "double-torus"])
+    def test_no_completion_outside_a_check(self, monkeypatch, name):
+        # every rewriting system a suite completes is timed by the check that
+        # first uses it
+        sc = build(name)
+        run, init = Report.run, RuleSet.__init__
+        open_checks, outside = [], []
+
+        def counted_run(self, *args, **kwargs):
+            open_checks.append(None)
+            try:
+                return run(self, *args, **kwargs)
+            finally:
+                open_checks.pop()
+
+        def completing(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if not open_checks:
+                outside.append((self.cap, len(self.relations)))
+
+        monkeypatch.setattr(Report, "run", counted_run)
+        monkeypatch.setattr(RuleSet, "__init__", completing)
+        assert sc.suite().ok()
+        assert outside == []
 
 
 class TestSphereHarmonics:

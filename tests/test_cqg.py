@@ -16,10 +16,13 @@ from qiso.cqg import (
     NotHopfIdeal,
     Report,
     _solve_rational,
+    alpha_monomial,
     apply_antipode_to_relation,
     canonical_set,
     check_coassoc,
+    check_deformed_hom,
     check_hom,
+    check_twist_identities,
     extract_relations,
     hopf_quotient,
     monic,
@@ -29,6 +32,7 @@ from qiso.cqg import (
     star_close,
 )
 from qiso.freealg import Element, FreeAlgebra, substitute, substitute_factors, tensor
+from qiso import catalog, graded
 from qiso.graded import BlockAlgebra, DirectSum, tau
 from qiso.presfile import load_data, loads
 from qiso.scalars import Scalar, ThetaLin
@@ -280,3 +284,41 @@ class TestPresentationCaches:
         for r in bp.relations[:3]:
             assert bp.delta_model(r).is_zero()
         assert len(calls) == len(bp.algebra.names) == 8
+
+
+def _torus_action(theta):
+    return catalog.torus_action(catalog.family_elements(catalog.eight_block_model(theta)), theta)
+
+
+class TestDeformationIdentities:
+    def test_identities_catch_a_sign_error(self, monkeypatch):
+        # the right-hand sides take the integral's own sign (collapse_phase),
+        # so a flipped twist sign breaks the three identities that mix them
+        monkeypatch.setattr(graded, "SIGMA", 1)
+        act, J = _torus_action(Fraction(1, 3)), graded.j_torus()
+        report = check_twist_identities(act, J, degree_bound=1)
+        check_deformed_hom(act, J, degree_bound=1, report=report)
+        assert [(r.name, r.status, r.detail) for r in report.results] == [
+            ("twist-interchange", FAIL, "pair [block2: U21^-1 U22^-1], [block2: U21^-1]"),
+            ("right-character-grading", PASS, "9 monomials"),
+            ("action-of-deformed-product", FAIL, "pair (-1, -1), (-1, 0)"),
+            ("deformed-product-of-action", FAIL, "pair (-1, -1), (-1, 0)"),
+            ("deformed-hom", PASS, "81 monomial pairs"),
+        ]
+
+    @pytest.mark.parametrize("theta", [None, Fraction(1, 3)])
+    def test_alpha_monomial_is_the_memoised_product(self, theta):
+        act = _torus_action(theta)
+        unit = alpha_monomial(act, 0, 0)
+
+        def power(x, k):
+            out = unit
+            for _ in range(abs(k)):
+                out = out * (x if k > 0 else x.star())
+            return out
+
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                img = alpha_monomial(act, m, n)
+                assert (img - power(act.table["U"], m) * power(act.table["V"], n)).is_zero()
+                assert alpha_monomial(act, m, n) is img
