@@ -51,7 +51,8 @@ class BlockAlgebra:
     normal-ordered product u_0^m0 ... u_{d-1}^m{d-1}.  ``bidegrees``
     optionally assigns each generator a weight vector for a two-sided torus
     action (adjoints carry negated weights).  Powers ``c**k`` of the
-    commutation scalars are memoised per instance, keyed by (pair, k).
+    commutation scalars are memoised per instance, keyed by (pair, k), and
+    so are bidegrees, keyed by exponent tuple.
     """
 
     def __init__(self, names, comm=None, bidegrees=None):
@@ -64,6 +65,7 @@ class BlockAlgebra:
                 self.comm[(a, b)] = c if c is not None else Scalar.one()
         self.bidegrees = list(bidegrees) if bidegrees else None
         self._comm_pows = {}
+        self._bidegrees = {}
 
     def _comm_pow(self, pair, k):
         key = (pair, k)
@@ -115,13 +117,15 @@ class BlockAlgebra:
         return tuple(m)
 
     def bidegree(self, m):
-        assert self.bidegrees is not None
-        k = len(self.bidegrees[0])
-        tot = [0] * k
-        for x, b in zip(m, self.bidegrees):
-            for i, v in enumerate(b):
-                tot[i] += x * v
-        return tuple(tot)
+        tot = self._bidegrees.get(m)
+        if tot is None:
+            if self.bidegrees is None:
+                raise ValueError("block algebra has no bidegrees")
+            tot = self._bidegrees[m] = tuple(
+                sum(x * b[i] for x, b in zip(m, self.bidegrees))
+                for i in range(len(self.bidegrees[0]))
+            )
+        return tot
 
     def specialize(self, theta) -> "BlockAlgebra":
         return BlockAlgebra(

@@ -11,6 +11,15 @@ zero and certified by an explicit combination
 over the *input* relations, which is re-expanded and checked before a YES is
 returned.  A nonzero normal form only ever yields UNDECIDED (the cap may be
 too small), never a NO.
+
+Completion pays only for the rules it keeps.  Each S-element carries a
+function that builds its certificate; the element is first reduced without
+tracking, and only one that survives reduction (most reduce to zero) is
+reduced again with tracking and has its certificate built.  Rules are never
+changed once made, so the deferred certificates equal eager ones.  A pair of
+rules is scanned only when the second lhs starts with a letter of the first,
+since no overlap or inclusion is possible otherwise.  ``RuleSet.skipped``
+counts the overlaps dropped at the cap; ``capped`` is ``skipped > 0``.
 """
 
 from __future__ import annotations
@@ -49,9 +58,14 @@ class RuleSet:
         self.relations = list(relations)
         self.cap = cap
         self.rules: list[Rule] = []
-        self.capped = False  # ambiguities above the cap were skipped
+        self.skipped = 0  # overlap ambiguities dropped above the cap
         self._index: dict[int, list[Rule]] = {}
         self._complete()
+
+    @property
+    def capped(self) -> bool:
+        """Whether any ambiguity above the cap was skipped."""
+        return self.skipped > 0
 
     # -- construction ---------------------------------------------------------
     def _add_rule(self, rule: Rule):
@@ -63,27 +77,28 @@ class RuleSet:
         counter = 0
         queue: list = []
 
-        def push(elem, rep):
+        def push(elem, build):
             nonlocal counter
             if elem.is_zero():
                 return
             lead = max(elem.t, key=alg.order_key)
-            heapq.heappush(queue, (alg.order_key(lead), counter, elem, rep))
+            heapq.heappush(queue, (alg.order_key(lead), counter, elem, build))
             counter += 1
 
         for i, r in enumerate(self.relations):
             if r.deg() > self.cap:
                 raise DegreeOverflow(f"relation of degree {r.deg()} exceeds cap {self.cap}")
-            push(r, [(Scalar.one(), (), i, ())])
+            push(r, lambda i=i: [(Scalar.one(), (), i, ())])
 
         while queue:
-            _, _, elem, rep = heapq.heappop(queue)
-            # rep represents elem itself; _reduce appends entries representing
-            # the removed part, so the reduced element is rep minus the delta
-            elem, delta = self._reduce(elem, [])
-            rep = rep + [(-s, u, k, v) for s, u, k, v in delta]
-            if elem.is_zero():
+            _, _, elem, build = heapq.heappop(queue)
+            # most S-elements reduce to zero: test that without a certificate
+            if self._reduce(elem, None)[0].is_zero():
                 continue
+            # build() represents elem itself; _reduce appends entries for the
+            # removed part, so the reduced element is that minus the delta
+            elem, delta = self._reduce(elem, [])
+            rep = build() + [(-s, u, k, v) for s, u, k, v in delta]
             lead = max(elem.t, key=alg.order_key)
             c = elem.t[lead]
             if not c.is_unit():
@@ -93,18 +108,23 @@ class RuleSet:
             ci = c.inv()
             rhs = -(elem - Element(alg, {lead: c})) * ci
             rule = Rule(lead, rhs, [(ci * s, u, k, v) for s, u, k, v in rep])
-            # resolve ambiguities against all rules (including itself)
+            # resolve ambiguities against all rules (including itself); a pair
+            # can only be ambiguous if the second lhs starts with a letter of
+            # the first
             self._add_rule(rule)
+            letters = set(rule.lhs)
             for other in self.rules:
-                for elem2, rep2 in self._ambiguities(rule, other):
-                    push(elem2, rep2)
-                if other is not rule:
-                    for elem2, rep2 in self._ambiguities(other, rule):
-                        push(elem2, rep2)
+                if other.lhs[0] in letters:
+                    for elem2, build2 in self._ambiguities(rule, other):
+                        push(elem2, build2)
+                if other is not rule and rule.lhs[0] in other.lhs:
+                    for elem2, build2 in self._ambiguities(other, rule):
+                        push(elem2, build2)
 
     def _ambiguities(self, r1: Rule, r2: Rule):
         """S-elements from overlaps (suffix of r1.lhs = prefix of r2.lhs) and
-        inclusions (r2.lhs inside r1.lhs)."""
+        inclusions (r2.lhs inside r1.lhs), each with a zero-argument function
+        that builds its certificate."""
         alg = self.algebra
         l1, l2 = r1.lhs, r2.lhs
         out = []
@@ -112,18 +132,16 @@ class RuleSet:
         def s_overlap(x, y):
             # word l1 + y == x + l2:  r1 gives rhs1.y, r2 gives x.rhs2
             d = _mul_word(r1.rhs, (), y, alg) - _mul_word(r2.rhs, x, (), alg)
-            rep = [(-s, u, k, v + y) for s, u, k, v in r1.rep] + [
+            return d, lambda: [(-s, u, k, v + y) for s, u, k, v in r1.rep] + [
                 (s, x + u, k, v) for s, u, k, v in r2.rep
             ]
-            return d, rep
 
         def s_inclusion(x, y):
             # word l1 == x + l2 + y:  r1 gives rhs1, r2 gives x.rhs2.y
             d = r1.rhs - _mul_word(r2.rhs, x, y, alg)
-            rep = [(-s, u, k, v) for s, u, k, v in r1.rep] + [
+            return d, lambda: [(-s, u, k, v) for s, u, k, v in r1.rep] + [
                 (s, x + u, k, v + y) for s, u, k, v in r2.rep
             ]
-            return d, rep
 
         # proper overlaps: l1 = x + o, l2 = o + y with 0 < len(o) < min lens
         for olen in range(1, min(len(l1), len(l2))):
@@ -133,7 +151,7 @@ class RuleSet:
                 if len(l1) + len(y) <= self.cap:
                     out.append(s_overlap(x, y))
                 else:
-                    self.capped = True
+                    self.skipped += 1
         # inclusions: l2 occurs inside l1 (or distinct rules with equal lhs)
         if len(l2) < len(l1):
             for i in range(len(l1) - len(l2) + 1):

@@ -176,6 +176,19 @@ class TestTwist:
     def test_sigma_pinned(self):
         assert SIGMA == -1
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.tuples(*[st.integers(-4, 4)] * 3))
+    def test_bidegree_memo_is_weight_sum(self, m):
+        weights = [(1, 0, 2), (0, 1, -1), (1, 1, 3)]
+        blk = BlockAlgebra(["U", "V", "W"], bidegrees=weights)
+        plain = tuple(sum(x * w[i] for x, w in zip(m, weights)) for i in range(3))
+        assert blk.bidegree(m) == plain
+        assert blk.bidegree(m) == plain  # served from the memo
+
+    def test_bidegree_without_weights_raises(self):
+        with pytest.raises(ValueError, match="no bidegrees"):
+            BlockAlgebra(["U", "V"]).bidegree((1, 0))
+
 
 # ---------------------------------------------------------------------------
 # the integer form of deformation matrices, against the ThetaLin arithmetic

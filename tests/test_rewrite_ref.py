@@ -1,0 +1,151 @@
+"""Completion against its frozen eager-certificate reference.
+
+``rewrite_ref.RefRuleSet`` builds every certificate eagerly and scans every
+ordered pair of rules.  :class:`qiso.rewrite.RuleSet` defers certificates to
+the S-elements that survive reduction and scans only pairs that share a
+letter.  Both must give the same system: the same rules in the same order,
+the same right-hand sides, the same rendered certificates and the same count
+of ambiguities skipped at the cap.  Every rule's certificate must also
+re-expand to its own ``lhs - rhs``.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qiso import catalog, presfile
+from qiso.freealg import Element, FreeAlgebra
+from qiso.rewrite import RuleSet, render_certificate, verify_certificate
+from qiso.scalars import Scalar, ThetaLin
+from rewrite_ref import RefRuleSet
+
+
+def _torus_b(theta, cap):
+    bp = catalog.build("torus", theta).b_presentation
+    return bp.algebra, bp.star_closed_relations, cap
+
+
+def _sphere_pres():
+    pres = presfile.load_data("sphere.pres")
+    return pres.algebra, pres.relations, 4
+
+
+def _membership(name):
+    sc = catalog.build(name)
+    rels = sc.member_relations
+    return rels[0].ambient, rels, sc.member_cap
+
+
+SYSTEMS = {
+    "torus-b-cap3-generic": lambda: _torus_b(None, 3),
+    "torus-b-cap3-third": lambda: _torus_b(Fraction(1, 3), 3),
+    "sphere-pres-cap4": _sphere_pres,
+    "circle-membership": lambda: _membership("circle"),
+    "sphere-membership": lambda: _membership("sphere"),
+    "torus-membership": lambda: _membership("torus"),
+}
+
+
+def signature(rs):
+    """Everything a completion decides, as comparable plain data."""
+    rules = [
+        (r.lhs, r.rhs.render(), render_certificate(rs.relations, r.rep, rs.algebra))
+        for r in rs.rules
+    ]
+    return rules, rs.skipped, rs.capped
+
+
+def assert_sound(rs):
+    for rule in rs.rules:
+        lhs = Element(rs.algebra, {rule.lhs: Scalar.one()})
+        assert verify_certificate(lhs - rule.rhs, rs.relations, rule.rep)
+
+
+@pytest.fixture(scope="module")
+def completed():
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            alg, rels, cap = SYSTEMS[name]()
+            cache[name] = RuleSet(alg, rels, cap), RefRuleSet(alg, rels, cap)
+        return cache[name]
+
+    return get
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_same_system_as_reference(completed, name):
+    new, ref = completed(name)
+    assert signature(new) == signature(ref)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_every_rule_certificate_sound(completed, name):
+    assert_sound(completed(name)[0])
+
+
+def test_skipped_counts_overlaps_above_cap(completed):
+    new, _ = completed("torus-b-cap3-generic")
+    assert new.skipped > 0 and new.capped is True
+    new, _ = completed("sphere-pres-cap4")
+    assert new.skipped == 0 and new.capped is False
+
+
+# -- random relation sets ------------------------------------------------------
+
+_LAM = Scalar.exponential(ThetaLin(0, 1))
+COEFFS = [
+    Scalar.one(),
+    -Scalar.one(),
+    Scalar.rational(Fraction(2)),
+    Scalar.rational(Fraction(-1, 3)),
+    _LAM,
+    Scalar.exponential(ThetaLin(Fraction(1, 3), -1)),
+    Scalar.one() + _LAM,  # not a unit
+]
+
+
+@st.composite
+def relation_sets(draw):
+    ngens = draw(st.integers(2, 3))
+    alg = FreeAlgebra(["x", "y", "z"][:ngens])
+    cap = draw(st.integers(1, 4))
+    # words up to the cap, now and then one longer; constants are rarer
+    # than letters, since they often make the relations generate everything
+    longest = draw(st.sampled_from([cap] * 9 + [cap + 1]))
+    letters = st.integers(0, 2 * ngens - 1)
+    words = st.sampled_from([0] + list(range(1, longest + 1)) * 3).flatmap(
+        lambda n: st.lists(letters, min_size=n, max_size=n).map(tuple)
+    )
+    term = st.tuples(words, st.sampled_from(COEFFS))
+    rels = []
+    # two or three terms each, like the commutation and unitarity relations
+    for terms in draw(st.lists(st.lists(term, min_size=2, max_size=3), min_size=2, max_size=4)):
+        elem = Element.zero(alg)
+        for w, c in terms:
+            elem._add_term(w, c)
+        rels.append(elem)
+    return alg, rels, cap
+
+
+def _outcome(cls, alg, rels, cap):
+    try:
+        return "ok", cls(alg, rels, cap)
+    except Exception as exc:  # compared by type and message below
+        return "raised", (type(exc), str(exc))
+
+
+@settings(deadline=None, max_examples=150)
+@given(relation_sets())
+def test_random_relation_sets(system):
+    kind, new = _outcome(RuleSet, *system)
+    ref_kind, ref = _outcome(RefRuleSet, *system)
+    assert kind == ref_kind
+    if kind == "raised":
+        assert new == ref
+        return
+    assert signature(new) == signature(ref)
+    assert_sound(new)
