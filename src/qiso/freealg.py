@@ -8,6 +8,10 @@ An *ambient* is any object exposing the monomial interface used by
 - ``star_mono(a)``  -> (Scalar, monomial)         adjoint of a basis monomial
 - ``deg(a)``        -> int                         total degree
 - ``render_mono(a)``-> str
+- ``same_structure(b)`` -> bool                 b, of the same type, is the same algebra
+
+Elements of two ambients combine only when :func:`same_ambient` holds (the
+same object, or the same type and structure); otherwise ``ValueError``.
 
 Free algebras use words over generator letters (adjoints are letters in
 their own right), tensor algebras use tuples of factor monomials.  The
@@ -79,6 +83,9 @@ class FreeAlgebra:
         """Graded-lexicographic term order key (bigger = later)."""
         return (len(w), w)
 
+    def same_structure(self, other) -> bool:
+        return self.names == other.names and self.selfadjoint == other.selfadjoint
+
 
 class TensorAlgebra:
     """Tensor product of ambient algebras; monomials are factor tuples."""
@@ -117,6 +124,16 @@ class TensorAlgebra:
 
     def render_mono(self, a):
         return " (x) ".join(f.render_mono(x) for f, x in zip(self.factors, a))
+
+    def same_structure(self, other) -> bool:
+        return len(self.factors) == len(other.factors) and all(
+            map(same_ambient, self.factors, other.factors)
+        )
+
+
+def same_ambient(a, b) -> bool:
+    """Whether a and b are one algebra: the same object, or structurally equal."""
+    return a is b or (type(a) is type(b) and a.same_structure(b))
 
 
 class Element:
@@ -204,9 +221,8 @@ class Element:
 
     def _coerce(self, other) -> "Element":
         if isinstance(other, Element):
-            assert other.ambient is self.ambient or isinstance(other.ambient, type(self.ambient)), (
-                "elements of different ambient algebras"
-            )
+            if other.ambient is not self.ambient and not same_ambient(self.ambient, other.ambient):
+                raise ValueError("elements of different ambient algebras")
             return other
         if isinstance(other, (int, Fraction, Scalar)):
             return Element.unit(self.ambient) * Scalar.coerce(other)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .freealg import Element
+from .freealg import Element, same_ambient
 from .scalars import Cyclo, Scalar, ThetaLin
 
 Frac = Fraction
@@ -116,6 +116,13 @@ class BlockAlgebra:
     def degree_vec(self, m):
         return tuple(m)
 
+    def same_structure(self, other) -> bool:
+        return (
+            self.names == other.names
+            and self.bidegrees == other.bidegrees
+            and all(c == other.comm[pair] for pair, c in self.comm.items())
+        )
+
     def bidegree(self, m):
         tot = self._bidegrees.get(m)
         if tot is None:
@@ -181,6 +188,13 @@ class DirectSum:
     def bidegree(self, m):
         k, e = m
         return self.blocks[k].bidegree(e)
+
+    def same_structure(self, other) -> bool:
+        return (
+            self.block_names == other.block_names
+            and len(self.blocks) == len(other.blocks)
+            and all(map(same_ambient, self.blocks, other.blocks))
+        )
 
     def specialize(self, theta) -> "DirectSum":
         return DirectSum([b.specialize(theta) for b in self.blocks], self.block_names)

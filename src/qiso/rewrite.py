@@ -16,10 +16,16 @@ Completion pays only for the rules it keeps.  Each S-element carries a
 function that builds its certificate; the element is first reduced without
 tracking, and only one that survives reduction (most reduce to zero) is
 reduced again with tracking and has its certificate built.  Rules are never
-changed once made, so the deferred certificates equal eager ones.  A pair of
-rules is scanned only when the second lhs starts with a letter of the first,
-since no overlap or inclusion is possible otherwise.  ``RuleSet.skipped``
-counts the overlaps dropped at the cap; ``capped`` is ``skipped > 0``.
+changed once made, so the deferred certificates equal eager ones.
+``RuleSet.skipped`` counts the overlaps dropped at the cap; ``capped`` is
+``skipped > 0``.
+
+Rules are found by word lookup, not by scanning.  Each new lhs is the lead
+of an element reduced by every earlier rule, so lhs words are unique.  A
+reduction step probes the subwords at each lhs length; at the leftmost match
+the earliest rule wins (an older lhs may contain a newer one).  The partners
+of a new rule in an ambiguity are looked up in dicts from the proper
+prefixes, suffixes and subwords of each lhs, and visited in rule order.
 """
 
 from __future__ import annotations
@@ -41,6 +47,10 @@ class NonUnitLeadCoefficient(Exception):
     """Completion produced a relation whose leading coefficient is not invertible."""
 
 
+class UnitIdeal(ValueError):
+    """The relations generate the unit ideal: completion reached a nonzero constant."""
+
+
 class Rule:
     __slots__ = ("lhs", "rhs", "rep")
 
@@ -59,7 +69,12 @@ class RuleSet:
         self.cap = cap
         self.rules: list[Rule] = []
         self.skipped = 0  # overlap ambiguities dropped above the cap
-        self._index: dict[int, list[Rule]] = {}
+        self._lhs: dict[tuple, int] = {}  # lhs word -> position in rules
+        self._lens: list[int] = []  # sorted distinct lhs lengths
+        # proper prefix / suffix / subword of some lhs -> positions of those rules
+        self._prefixes: dict[tuple, list[int]] = {}
+        self._suffixes: dict[tuple, list[int]] = {}
+        self._subwords: dict[tuple, list[int]] = {}
         self._complete()
 
     @property
@@ -68,9 +83,31 @@ class RuleSet:
         return self.skipped > 0
 
     # -- construction ---------------------------------------------------------
-    def _add_rule(self, rule: Rule):
+    def _add_rule(self, rule: Rule) -> int:
+        j = len(self.rules)
         self.rules.append(rule)
-        self._index.setdefault(rule.lhs[0], []).append(rule)
+        lhs, n = rule.lhs, len(rule.lhs)
+        self._lhs[lhs] = j
+        self._lens = sorted({*self._lens, n})
+        for k in range(1, n):
+            self._prefixes.setdefault(lhs[:k], []).append(j)
+            self._suffixes.setdefault(lhs[n - k :], []).append(j)
+        for sub in {lhs[i : i + k] for k in range(1, n) for i in range(n - k + 1)}:
+            self._subwords.setdefault(sub, []).append(j)
+        return j
+
+    def _partners(self, j: int):
+        """Positions of the rules that can form an ambiguity with rule j:
+        those for (rule j, other) and those for (other, rule j).  No other
+        lhs lies inside lhs(j), which every earlier rule has reduced."""
+        lhs, n = self.rules[j].lhs, len(self.rules[j].lhs)
+        first, second = {j}, set(self._subwords.get(lhs, ()))
+        for k in range(1, n):
+            # a proper suffix of lhs starts the other lhs, or a proper prefix ends it
+            first.update(self._prefixes.get(lhs[n - k :], ()))
+            second.update(self._suffixes.get(lhs[:k], ()))
+        second.discard(j)
+        return first, second
 
     def _complete(self):
         alg = self.algebra
@@ -105,19 +142,20 @@ class RuleSet:
                 raise NonUnitLeadCoefficient(
                     f"leading coefficient {c.render()} of {elem.render()} is not a unit"
                 )
+            if not lead:
+                raise UnitIdeal(f"the relations generate the unit ideal: {elem.render()} = 0")
             ci = c.inv()
             rhs = -(elem - Element(alg, {lead: c})) * ci
             rule = Rule(lead, rhs, [(ci * s, u, k, v) for s, u, k, v in rep])
-            # resolve ambiguities against all rules (including itself); a pair
-            # can only be ambiguous if the second lhs starts with a letter of
-            # the first
-            self._add_rule(rule)
-            letters = set(rule.lhs)
-            for other in self.rules:
-                if other.lhs[0] in letters:
+            # resolve ambiguities against every rule (itself included) that
+            # shares an overlap or inclusion with it, in rule order
+            first, second = self._partners(self._add_rule(rule))
+            for p in sorted(first | second):
+                other = self.rules[p]
+                if p in first:
                     for elem2, build2 in self._ambiguities(rule, other):
                         push(elem2, build2)
-                if other is not rule and rule.lhs[0] in other.lhs:
+                if p in second:
                     for elem2, build2 in self._ambiguities(other, rule):
                         push(elem2, build2)
 
@@ -131,14 +169,15 @@ class RuleSet:
 
         def s_overlap(x, y):
             # word l1 + y == x + l2:  r1 gives rhs1.y, r2 gives x.rhs2
-            d = _mul_word(r1.rhs, (), y, alg) - _mul_word(r2.rhs, x, (), alg)
+            d = _difference(alg, ((m + y, c) for m, c in r1.rhs.t.items()),
+                            ((x + m, c) for m, c in r2.rhs.t.items()))
             return d, lambda: [(-s, u, k, v + y) for s, u, k, v in r1.rep] + [
                 (s, x + u, k, v) for s, u, k, v in r2.rep
             ]
 
         def s_inclusion(x, y):
             # word l1 == x + l2 + y:  r1 gives rhs1, r2 gives x.rhs2.y
-            d = r1.rhs - _mul_word(r2.rhs, x, y, alg)
+            d = _difference(alg, r1.rhs.t.items(), ((x + m + y, c) for m, c in r2.rhs.t.items()))
             return d, lambda: [(-s, u, k, v) for s, u, k, v in r1.rep] + [
                 (s, x + u, k, v + y) for s, u, k, v in r2.rep
             ]
@@ -152,30 +191,34 @@ class RuleSet:
                     out.append(s_overlap(x, y))
                 else:
                     self.skipped += 1
-        # inclusions: l2 occurs inside l1 (or distinct rules with equal lhs)
+        # inclusions: l2 occurs inside l1 (lhs words are unique)
         if len(l2) < len(l1):
             for i in range(len(l1) - len(l2) + 1):
                 if l1[i : i + len(l2)] == l2:
                     out.append(s_inclusion(l1[:i], l1[i + len(l2) :]))
-        elif l1 == l2 and r1 is not r2:
-            out.append(s_inclusion((), ()))
         return out
 
     # -- reduction -----------------------------------------------------------
     def _find(self, w):
-        for i in range(len(w)):
-            for rule in self._index.get(w[i], ()):
-                L = len(rule.lhs)
-                if w[i : i + L] == rule.lhs:
-                    return i, rule
+        """The leftmost match in w, and at it the earliest rule."""
+        lhs, n = self._lhs, len(w)
+        for i in range(n):
+            best = None
+            for L in self._lens:
+                if i + L > n:
+                    break
+                p = lhs.get(w[i : i + L])
+                if p is not None and (best is None or p < best):
+                    best = p
+            if best is not None:
+                return i, self.rules[best]
         return None
 
     def _reduce(self, elem: Element, rep):
         """Fully reduce an element; extends rep so that
         original = reduced + sum(rep applied to relations)."""
-        alg = self.algebra
         work = list(elem.t.items())
-        done = Element.zero(alg)
+        done = Element.zero(self.algebra)
         rep = list(rep) if rep is not None else None
         while work:
             w, c = work.pop()
@@ -185,10 +228,9 @@ class RuleSet:
                 continue
             i, rule = hit
             u, v = w[:i], w[i + len(rule.lhs) :]
-            repl = _mul_word(rule.rhs, u, v, alg) * c
             if rep is not None:
                 rep.extend((c * s, u + ru, k, rv + v) for s, ru, k, rv in rule.rep)
-            work.extend(repl.t.items())
+            work.extend((u + m + v, rc * c) for m, rc in rule.rhs.t.items())
         return done, rep
 
     # -- public API -------------------------------------------------------------
@@ -203,10 +245,14 @@ class RuleSet:
         return nf
 
 
-def _mul_word(elem: Element, u, v, alg) -> Element:
-    if not u and not v:
-        return elem
-    return Element(alg, {u + m + v: c for m, c in elem.t.items()})
+def _difference(alg, pos, neg) -> Element:
+    """sum(pos) - sum(neg) over (word, nonzero Scalar) pairs with distinct
+    words, with the terms and order that ``Element.__sub__`` gives."""
+    out = Element(alg)
+    out.t = dict(pos)
+    for m, c in neg:
+        out._add_term(m, -c)
+    return out
 
 
 class Membership:
@@ -238,10 +284,10 @@ def ideal_member(p: Element, rules: RuleSet) -> Membership:
 
 def verify_certificate(p: Element, relations, cert) -> bool:
     """Re-expand sum c*u*r*v and compare with p."""
-    alg = p.ambient
-    acc = Element.zero(alg)
+    acc = Element.zero(p.ambient)
     for c, u, k, v in cert:
-        acc = acc + _mul_word(relations[k], u, v, alg) * c
+        for m, rc in relations[k].t.items():
+            acc._add_term(u + m + v, rc * c)
     return (acc - p).is_zero()
 
 

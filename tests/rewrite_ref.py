@@ -2,13 +2,17 @@
 
 ``tests/test_rewrite_ref.py`` checks :class:`qiso.rewrite.RuleSet` against
 this class.  Do not edit it to match the package: it is the fixed point the
-deferred certificates and the pair filter are checked against.
+deferred certificates, the indexed rule lookup and the ambiguity partners are
+checked against.
 
 It freezes ``RuleSet._complete`` and ``RuleSet._ambiguities`` as they were
 before certificates were deferred: every popped S-element is reduced with
 its certificate tracked, and every ordered pair of rules is scanned.  The one
 addition is the ``skipped`` counter in place of the old ``capped = True``.
-Reduction (``_reduce``, ``_find``) is shared with the package.
+Reduction (``_add_rule``, ``_find``, ``_reduce`` and ``_mul_word``) is frozen
+as the scan over per-letter buckets of rules, each step building its
+replacement as intermediate ``Element``s.  Only the constructor and the
+public API (``normal_form``, ``capped``) are shared with the package.
 """
 
 from __future__ import annotations
@@ -16,11 +20,54 @@ from __future__ import annotations
 import heapq
 
 from qiso.freealg import Element
-from qiso.rewrite import DegreeOverflow, NonUnitLeadCoefficient, Rule, RuleSet, _mul_word
+from qiso.rewrite import DegreeOverflow, NonUnitLeadCoefficient, Rule, RuleSet
 from qiso.scalars import Scalar
 
 
+def _mul_word(elem: Element, u, v, alg) -> Element:
+    if not u and not v:
+        return elem
+    return Element(alg, {u + m + v: c for m, c in elem.t.items()})
+
+
 class RefRuleSet(RuleSet):
+    def __init__(self, algebra, relations, cap: int):
+        self._index: dict[int, list[Rule]] = {}
+        super().__init__(algebra, relations, cap)
+
+    def _add_rule(self, rule: Rule):
+        self.rules.append(rule)
+        self._index.setdefault(rule.lhs[0], []).append(rule)
+
+    def _find(self, w):
+        for i in range(len(w)):
+            for rule in self._index.get(w[i], ()):
+                L = len(rule.lhs)
+                if w[i : i + L] == rule.lhs:
+                    return i, rule
+        return None
+
+    def _reduce(self, elem: Element, rep):
+        """Fully reduce an element; extends rep so that
+        original = reduced + sum(rep applied to relations)."""
+        alg = self.algebra
+        work = list(elem.t.items())
+        done = Element.zero(alg)
+        rep = list(rep) if rep is not None else None
+        while work:
+            w, c = work.pop()
+            hit = self._find(w)
+            if hit is None:
+                done._add_term(w, c)
+                continue
+            i, rule = hit
+            u, v = w[:i], w[i + len(rule.lhs) :]
+            repl = _mul_word(rule.rhs, u, v, alg) * c
+            if rep is not None:
+                rep.extend((c * s, u + ru, k, rv + v) for s, ru, k, rv in rule.rep)
+            work.extend(repl.t.items())
+        return done, rep
+
     def _complete(self):
         alg = self.algebra
         counter = 0

@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import qiso
 from qiso.freealg import Element, FreeAlgebra, TensorAlgebra, substitute, substitute_factors, tensor
 from qiso.scalars import Scalar, ThetaLin
 
@@ -90,3 +94,50 @@ class TestTensor:
         x = alg.gen("a") * lam
         sp = x.specialize(Fraction(1, 3))
         assert (sp - alg.gen("a")).is_zero()
+
+
+class TestMixedAmbients:
+    """Elements combine only over the same algebra: the same object, or one
+    with the same structure.  Monomials are index tuples, so anything looser
+    would read one algebra's words in another."""
+
+    def test_other_free_algebra_is_rejected(self, alg):
+        other = FreeAlgebra(["u", "v"])
+        with pytest.raises(ValueError, match="different ambient algebras"):
+            alg.gen("a") + other.gen("u")
+        with pytest.raises(ValueError, match="different ambient algebras"):
+            alg.gen("a") * other.gen("u")
+        adjoint = FreeAlgebra(["a", "b"], selfadjoint={"a"})
+        with pytest.raises(ValueError, match="different ambient algebras"):
+            alg.gen("a") - adjoint.gen("a")
+
+    def test_equal_free_algebra_is_accepted(self, alg):
+        twin = FreeAlgebra(["a", "b"])
+        assert (alg.gen("a") + twin.gen("a") - alg.gen("a") * 2).is_zero()
+
+    def test_tensor_factors_must_match(self, alg):
+        c = FreeAlgebra(["c"]).gen("c")
+        # each tensor() call builds its own TensorAlgebra over the same factors
+        assert (tensor(alg.gen("a"), c) - tensor(alg.gen("a"), c)).is_zero()
+        u = FreeAlgebra(["u", "v"]).gen("u")
+        with pytest.raises(ValueError, match="different ambient algebras"):
+            tensor(alg.gen("a"), c) + tensor(u, c)
+        with pytest.raises(ValueError, match="different ambient algebras"):
+            tensor(alg.gen("a"), c) + tensor(alg.gen("a"), c, c)
+
+    def test_rejected_without_asserts(self):
+        # the check must not vanish under python -O
+        code = (
+            "from qiso.freealg import FreeAlgebra\n"
+            "x, u = FreeAlgebra(['x', 'y']).gen('x'), FreeAlgebra(['u', 'v']).gen('u')\n"
+            "try:\n"
+            "    print('returned', (x + u).render())\n"
+            "except ValueError as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qiso.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised elements of different ambient algebras"

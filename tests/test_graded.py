@@ -63,6 +63,17 @@ class TestBlockAlgebra:
         U, V = twisted.gen("U"), twisted.gen("V")
         assert ((V * U).star() - U.star() * V.star()).is_zero()
 
+    def test_mixed_blocks(self, twisted):
+        twin = BlockAlgebra(["U", "V"], comm=dict(twisted.comm), bidegrees=[(1, 0), (0, 1)])
+        assert (twisted.gen("U") - twin.gen("U")).is_zero()
+        for other in (
+            twisted.specialize(Fraction(1, 3)),  # another commutation scalar
+            BlockAlgebra(["U", "V"], comm=dict(twisted.comm)),  # no bidegrees
+            BlockAlgebra(["U", "W"], comm=dict(twisted.comm), bidegrees=[(1, 0), (0, 1)]),
+        ):
+            with pytest.raises(ValueError, match="different ambient algebras"):
+                twisted.gen("U") + other.gen("U")
+
 
 class TestDirectSum:
     def test_cross_block_products_vanish(self):
@@ -81,6 +92,18 @@ class TestDirectSum:
         ds = DirectSum([BlockAlgebra(["x"]), BlockAlgebra(["y"])])
         a = ds.block_gen(0, 0) + ds.block_gen(1, 0) * Scalar.rational(3)
         assert (Element.unit(ds) * a - a).is_zero()
+
+    def test_mixed_sums(self):
+        ds = DirectSum([BlockAlgebra(["x"]), BlockAlgebra(["y"])])
+        twin = DirectSum([BlockAlgebra(["x"]), BlockAlgebra(["y"])])
+        assert (ds.block_gen(1, 0) - twin.block_gen(1, 0)).is_zero()
+        for other in (
+            DirectSum(list(ds.blocks), ["a", "b"]),
+            DirectSum([BlockAlgebra(["x"]), BlockAlgebra(["z"])]),
+            DirectSum(list(ds.blocks) + [BlockAlgebra(["z"])]),
+        ):
+            with pytest.raises(ValueError, match="different ambient algebras"):
+                ds.block_gen(0, 0) + other.block_gen(0, 0)
 
 
 class TestLaplacian:

@@ -8,6 +8,7 @@ from qiso.rewrite import (
     YES,
     DegreeOverflow,
     RuleSet,
+    UnitIdeal,
     ideal_member,
     render_certificate,
     verify_certificate,
@@ -81,6 +82,17 @@ class TestMembership:
         res = ideal_member(U * V - V * U, RuleSet(alg, rels, 6))
         assert res.status == UNDECIDED
 
+    def test_changed_coefficient_fails_check(self, torus_rules):
+        alg, rules, rels = torus_rules
+        U, V = alg.gen("U"), alg.gen("V")
+        p = U * V * U.star() - V * Scalar.exponential(ThetaLin(0, 1))
+        cert = ideal_member(p, rules).certificate
+        assert len(cert) > 1 and verify_certificate(p, rels, cert)
+        for i, (c, u, k, v) in enumerate(cert):
+            # the sum moves by u * r_k * v, which is not zero
+            bad = cert[:i] + [(c + Scalar.one(), u, k, v)] + cert[i + 1 :]
+            assert not verify_certificate(p, rels, bad)
+
     def test_zero_is_member(self, torus_rules):
         alg, _rules, rels = torus_rules
         res = ideal_member(Element.zero(alg), RuleSet(alg, rels, 4))
@@ -111,3 +123,13 @@ class TestMembership:
         U = other.gen("U")
         with pytest.raises(ValueError, match="different algebras"):
             ideal_member(U * U.star() - Element.unit(other), rules)
+
+
+def test_unit_ideal_is_a_named_error():
+    # x = 1 and x = 2 give 1 = 0: every constant would be reducible, and no
+    # rule can say so
+    alg = FreeAlgebra(["x", "y"])
+    x = alg.gen("x")
+    with pytest.raises(UnitIdeal, match="unit ideal"):
+        RuleSet(alg, [x - 1, x - 2], 2)
+    assert issubclass(UnitIdeal, ValueError)  # the CLI's usage error, exit 3

@@ -1,14 +1,17 @@
-"""Completion against its frozen eager-certificate reference.
+"""Completion and reduction against their frozen reference.
 
-``rewrite_ref.RefRuleSet`` builds every certificate eagerly and scans every
-ordered pair of rules.  :class:`qiso.rewrite.RuleSet` defers certificates to
-the S-elements that survive reduction and scans only pairs that share a
-letter.  Both must give the same system: the same rules in the same order,
-the same right-hand sides, the same rendered certificates and the same count
-of ambiguities skipped at the cap.  Every rule's certificate must also
+``rewrite_ref.RefRuleSet`` builds every certificate eagerly, scans every
+ordered pair of rules, and finds rules by scanning per-letter buckets.
+:class:`qiso.rewrite.RuleSet` defers certificates to the S-elements that
+survive reduction, looks up rules and ambiguity partners by word, and builds
+no intermediate elements.  Both must give the same system: the same rules in
+the same order, the same right-hand sides, the same rendered certificates and
+the same count of ambiguities skipped at the cap, and the same normal forms
+and certificates for seeded words.  Every rule's certificate must also
 re-expand to its own ``lhs - rhs``.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from qiso import catalog, presfile
 from qiso.freealg import Element, FreeAlgebra
-from qiso.rewrite import RuleSet, render_certificate, verify_certificate
+from qiso.rewrite import RuleSet, UnitIdeal, render_certificate, verify_certificate
 from qiso.scalars import Scalar, ThetaLin
 from rewrite_ref import RefRuleSet
 
@@ -38,6 +41,16 @@ def _membership(name):
     return rels[0].ambient, rels, sc.member_cap
 
 
+def _prefix_lhs():
+    # completion orients y x x* y first and then y, a prefix of it, so two
+    # rules match at the start of y x x* y and the earlier one must win
+    alg = FreeAlgebra(["x", "y"])
+    x, y = alg.gen("x"), alg.gen("y")
+    word = y * x * x.star() * y
+    lam = Scalar.exponential(ThetaLin(0, 1))
+    return alg, [word * lam - 1, word * Scalar.rational(Fraction(-1, 3)) + y], 4
+
+
 SYSTEMS = {
     "torus-b-cap3-generic": lambda: _torus_b(None, 3),
     "torus-b-cap3-third": lambda: _torus_b(Fraction(1, 3), 3),
@@ -45,6 +58,7 @@ SYSTEMS = {
     "circle-membership": lambda: _membership("circle"),
     "sphere-membership": lambda: _membership("sphere"),
     "torus-membership": lambda: _membership("torus"),
+    "prefix-lhs": _prefix_lhs,
 }
 
 
@@ -85,6 +99,28 @@ def test_same_system_as_reference(completed, name):
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_every_rule_certificate_sound(completed, name):
     assert_sound(completed(name)[0])
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_same_normal_forms_as_reference(completed, name):
+    # the word lookup and the intermediate-free reduction against the
+    # frozen bucket scan, on every lhs and on seeded words up to the cap
+    new, ref = completed(name)
+    alg = new.algebra
+    letters = sorted({alg.letter(n, star) for n in alg.names for star in (False, True)})
+    rng = random.Random(name)
+    words = [r.lhs for r in new.rules] + [
+        tuple(rng.choice(letters) for _ in range(rng.randint(0, new.cap))) for _ in range(60)
+    ]
+    for w in words:
+        elem = Element(alg, {w: Scalar.one()})
+        (nf, cert), (ref_nf, ref_cert) = (
+            rs.normal_form(elem, with_cert=True) for rs in (new, ref)
+        )
+        assert nf.render() == ref_nf.render()
+        assert render_certificate(new.relations, cert, alg) == render_certificate(
+            ref.relations, ref_cert, alg
+        )
 
 
 def test_skipped_counts_overlaps_above_cap(completed):
@@ -145,7 +181,12 @@ def test_random_relation_sets(system):
     ref_kind, ref = _outcome(RefRuleSet, *system)
     assert kind == ref_kind
     if kind == "raised":
-        assert new == ref
+        # the reference crashes on the empty lhs of a unit ideal, where the
+        # package raises a named error
+        if ref[0] is IndexError:
+            assert new[0] is UnitIdeal
+        else:
+            assert new == ref
         return
     assert signature(new) == signature(ref)
     assert_sound(new)
