@@ -11,174 +11,91 @@ their operands or the shared ``ONE``/``ZERO``, so no code may mutate ``.c`` or
 ``.terms``.  The common cases take fast paths: rationals (conductor 1) are
 combined with one ``Fraction`` operation, a rational times a cyclotomic only
 scales coordinates, and a product or power of one-term scalars builds a
-single term without the general merge loop.  Other cyclotomic products,
-conjugates and inverses run on integer coordinates over one common
-denominator, skipping zero coordinates.
+single term without the general merge loop.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 
 Frac = Fraction
-_FRAC0 = Frac(0)
 
 # ---------------------------------------------------------------------------
 # cyclotomic fields Q(zeta_n), represented in the power basis mod Phi_n
 # ---------------------------------------------------------------------------
 
 
-def _primes(k: int) -> list:
-    """The prime factors of k, ascending."""
-    out, p = [], 2
-    while k > 1:
-        if p * p > k:
-            p = k
-        if k % p == 0:
-            out.append(p)
-            while k % p == 0:
-                k //= p
-        p += 1
+def _poly_divmod_int(num, den):
+    """Exact division of integer polynomials (lists, low degree first)."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(num) - len(den), -1, -1):
+        q, r = divmod(num[i + len(den) - 1], den[-1])
+        assert r == 0
+        out[i] = q
+        for j, d in enumerate(den):
+            num[i + j] -= q * d
+    assert all(v == 0 for v in num)
     return out
 
 
-_PHI_CACHE: dict[int, list[int]] = {}
+_PHI_CACHE: dict[int, list[int]] = {1: [-1, 1]}
 
 
 def cyclotomic_poly(n: int) -> list[int]:
-    """Coefficients of the n-th cyclotomic polynomial, low degree first.
-
-    Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, and for squarefree r
-    it is the product of (x^d - 1)^mu(r/d) over the divisors d of r: each
-    factor is one sparse multiplication or exact division."""
-    phi = _PHI_CACHE.get(n)
-    if phi is None:
-        primes = _primes(n)
-        r = prod(primes)
-        if r < n:
-            base, k = cyclotomic_poly(r), n // r
-            phi = [0] * ((len(base) - 1) * k + 1)
-            phi[::k] = base
-        else:
-            up, down = [], []
-            for mask in range(1 << len(primes)):
-                sub = prod(p for i, p in enumerate(primes) if mask >> i & 1)
-                (down if mask.bit_count() % 2 else up).append(n // sub)
-            phi = [1]
-            for d in up:  # times x^d - 1
-                new = [0] * (len(phi) + d)
-                for i, v in enumerate(phi):
-                    new[i] -= v
-                    new[i + d] += v
-                phi = new
-            for d in down:  # over x^d - 1: phi[i] = q[i - d] - q[i]
-                q = [0] * (len(phi) - d)
-                for i in range(len(q)):
-                    q[i] = (q[i - d] if i >= d else 0) - phi[i]
-                phi = q
-        _PHI_CACHE[n] = phi
-    return phi
+    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
+    if n not in _PHI_CACHE:
+        num = [0] * (n + 1)
+        num[0], num[n] = -1, 1
+        den = [1]
+        for d in range(1, n):
+            if n % d == 0:
+                phi_d = cyclotomic_poly(d)
+                new = [0] * (len(den) + len(phi_d) - 1)
+                for i, a in enumerate(den):
+                    for j, b in enumerate(phi_d):
+                        new[i + j] += a * b
+                den = new
+        _PHI_CACHE[n] = _poly_divmod_int(num, den)
+    return _PHI_CACHE[n]
 
 
-_TAILS: dict[int, tuple] = {}
+class _Field:
+    """Reduction tables for one conductor n."""
 
+    __slots__ = ("n", "deg", "pows")
 
-def _phi_tail(n: int) -> tuple:
-    """deg Phi_n and the nonzero (j, c) of Phi_n below its leading term."""
-    t = _TAILS.get(n)
-    if t is None:
+    def __init__(self, n: int):
         phi = cyclotomic_poly(n)
-        t = _TAILS[n] = (len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c))
-    return t
+        self.n = n
+        self.deg = len(phi) - 1
+        d = self.deg
+        # pows[k] = power basis coordinates of zeta^k, k up to max needed
+        top = [Frac(-c) for c in phi[:d]]  # zeta^d
+        pows = [[Frac(0)] * d for _ in range(max(n, 2 * d - 1))]
+        for k in range(len(pows)):
+            if k < d:
+                pows[k][k] = Frac(1)
+            else:
+                prev = pows[k - 1]
+                cur = [Frac(0)] + list(prev[: d - 1])
+                lead = prev[d - 1]
+                if lead:
+                    for i in range(d):
+                        cur[i] += lead * top[i]
+                pows[k] = cur
+        self.pows = [tuple(p) for p in pows]
 
 
-def _reduce(n: int, p: list) -> list:
-    """Power-basis coordinates of sum p[k] zeta_n^k, for integers p (which it
-    overwrites): fold with zeta^n = 1, then divide by the monic Phi_n."""
-    d, tail = _phi_tail(n)
-    for k in range(n, len(p)):
-        if p[k]:
-            p[k % n] += p[k]
-    del p[n:]
-    for k in range(len(p) - 1, d - 1, -1):
-        v = p[k]
-        if v:
-            base = k - d
-            for j, c in tail:
-                p[base + j] -= v * c
-    del p[d:]
-    p.extend([0] * (d - len(p)))
-    return p
+_FIELDS: dict[int, _Field] = {}
 
 
-def _ints(c: tuple) -> tuple[list, int]:
-    """Coordinates as integers over one common denominator."""
-    den = 1
-    for v in c:
-        q = v.denominator
-        if den % q:
-            den = den * q // gcd(den, q)
-    if den == 1:
-        return [v.numerator for v in c], 1
-    return [v.numerator * (den // v.denominator) for v in c], den
-
-
-def _coords(n: int, p: list, den: int) -> tuple:
-    """Coordinates of sum p[k] zeta_n^k / den, p integers."""
-    p = _reduce(n, p)
-    if den == 1:
-        return tuple(map(Frac, p))
-    return tuple(Frac(v, den) if v else _FRAC0 for v in p)
-
-
-def _mul_ints(n: int, a: list, b: list, sa: int = 1, sb: int = 1) -> list:
-    """Reduced integer coordinates of a(zeta_n^sa) * b(zeta_n^sb)."""
-    bs = [(j * sb, y) for j, y in enumerate(b) if y]
-    p = [0] * ((len(a) - 1) * sa + (len(b) - 1) * sb + 1)
-    for i, x in enumerate(a):
-        if x:
-            i *= sa
-            for j, y in bs:
-                p[i + j] += x * y
-    return _reduce(n, p)
-
-
-def _galois(n: int, p: list, g: int) -> list:
-    """The automorphism zeta_n -> zeta_n^g on reduced integer coordinates."""
-    q = [0] * n
-    for k, v in enumerate(p):
-        if v:
-            q[k * g % n] = v
-    return _reduce(n, q)
-
-
-_GENS: dict[int, list] = {}
-
-
-def _unit_gens(n: int) -> list:
-    """Pairs (g, h): units g mod n of order h whose cyclic groups multiply
-    to (Z/n)^*, one or two per prime power q of n, lifted from Z/q by CRT."""
-    gens = _GENS.get(n)
-    if gens is None:
-        gens = _GENS[n] = []
-        for p in _primes(n):
-            q = p
-            while n % (q * p) == 0:
-                q *= p
-            if p == 2:  # -1 and 5 generate (Z/2^e)^*
-                local = ([(q - 1, 2)] if q > 2 else []) + ([(5, q // 4)] if q > 4 else [])
-            else:  # cyclic: the least primitive root
-                h, rs = q // p * (p - 1), _primes(q // p * (p - 1))
-                g = next(g for g in range(2, q) if g % p and all(pow(g, h // r, q) != 1 for r in rs))
-                local = [(g, h)]
-            rest = n // q
-            gens += [(1 + rest * ((g - 1) * pow(rest, -1, q) % q), h) for g, h in local]
-    return gens
-
-
-_ROOTS: dict = {}  # Cyclo.root(r) by r
+def _field(n: int) -> _Field:
+    if n not in _FIELDS:
+        _FIELDS[n] = _Field(n)
+    return _FIELDS[n]
 
 
 class Cyclo:
@@ -212,23 +129,27 @@ class Cyclo:
     @staticmethod
     def root(r: Fraction) -> "Cyclo":
         """e(r) for rational r, as a root of unity."""
-        x = _ROOTS.get(r)
-        if x is None:
-            s = Frac(r) % 1
-            p = [0] * s.numerator + [1]
-            x = _ROOTS[r] = Cyclo(s.denominator, _coords(s.denominator, p, 1))
-        return x
+        if not r:
+            return _cyclo(1, _field(1).pows[0])
+        r = Frac(r) % 1
+        n = r.denominator
+        f = _field(n)
+        return Cyclo(n, f.pows[r.numerator % n])
 
     # -- helpers -----------------------------------------------------------
     def _to(self, m: int) -> tuple:
         """Coordinates in Q(zeta_m), n | m."""
         if self.n == m:
             return self.c
+        f = _field(m)
         step = m // self.n
-        a, den = _ints(self.c)
-        p = [0] * ((len(a) - 1) * step + 1)
-        p[::step] = a
-        return _coords(m, p, den)
+        out = [Frac(0)] * f.deg
+        for k, v in enumerate(self.c):
+            if v:
+                p = f.pows[k * step]
+                for i in range(f.deg):
+                    out[i] += v * p[i]
+        return tuple(out)
 
     def _lcm(self, other: "Cyclo") -> int:
         return self.n * other.n // gcd(self.n, other.n)
@@ -257,38 +178,67 @@ class Cyclo:
         if other.n == 1:
             return _scale(self, other.c[0])
         m = self._lcm(other)
-        a, da = _ints(self.c)
-        b, db = _ints(other.c)
-        p = _mul_ints(m, a, b, m // self.n, m // other.n)
-        return Cyclo(m, _coords(m, p, da * db))
+        f = _field(m)
+        a, b = self._to(m), other._to(m)
+        d = f.deg
+        conv = [Frac(0)] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
+        out = [Frac(0)] * d
+        for k, v in enumerate(conv):
+            if v:
+                p = f.pows[k]
+                for i in range(d):
+                    out[i] += v * p[i]
+        return Cyclo(m, tuple(out))
 
     def conj(self) -> "Cyclo":
         if self.n == 1:
             return self
-        a, den = _ints(self.c)
-        return Cyclo(self.n, _coords(self.n, _galois(self.n, a, self.n - 1), den))
+        f = _field(self.n)
+        d = f.deg
+        out = [Frac(0)] * d
+        for k, v in enumerate(self.c):
+            if v:
+                p = f.pows[(self.n - k) % self.n]
+                for i in range(d):
+                    out[i] += v * p[i]
+        return Cyclo(self.n, tuple(out))
 
     def inv(self) -> "Cyclo":
-        """Field inverse.  Multiplying x by its conjugates under one cyclic
-        factor of Gal(Q(zeta_n)/Q) after another ends in the rational norm
-        N(x); the conjugates multiplied in, over N(x), are 1/x."""
+        """Field inverse via extended Euclid mod Phi_n."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic")
         if self.n == 1:
             return _cyclo(1, (1 / self.c[0],))
-        n = self.n
-        y, den = _ints(self.c)
-        cof = [1] + [0] * (len(y) - 1)
-        for g, h in _unit_gens(n):
-            z = part = _galois(n, y, g)
-            for _ in range(h - 2):
-                z = _galois(n, z, g)
-                part = _mul_ints(n, part, z)
-            y = _mul_ints(n, y, part)
-            cof = _mul_ints(n, cof, part)
-        if any(y[1:]):
-            raise ArithmeticError(f"norm of {self.render()} is not rational")
-        return Cyclo(n, _coords(n, [v * den for v in cof], y[0]))
+        phi = [Frac(v) for v in cyclotomic_poly(self.n)]
+        a = list(self.c)
+        while a and a[-1] == 0:
+            a.pop()
+        # extended euclid: s*a + t*phi = gcd (constant)
+        r0, r1 = phi, a
+        s0, s1 = [Frac(0)], [Frac(1)]
+        while len(r1) > 1:
+            q, r = _poly_divmod_frac(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
+            while r1 and r1[-1] == 0:
+                r1.pop()
+            if not r1:
+                raise ZeroDivisionError("non-invertible cyclotomic element")
+        g = r1[0]
+        inv = [v / g for v in s1]
+        f = _field(self.n)
+        out = [Frac(0)] * f.deg
+        for k, v in enumerate(inv):
+            if v:
+                p = f.pows[k]
+                for i in range(f.deg):
+                    out[i] += v * p[i]
+        return Cyclo(self.n, tuple(out))
 
     # -- predicates / output ------------------------------------------------
     def is_zero(self) -> bool:
@@ -363,6 +313,35 @@ def _cyclo_pow(x: Cyclo, k: int) -> Cyclo:
         if not k:
             return out
         x = x * x
+
+
+def _poly_divmod_frac(num, den):
+    num = list(num)
+    dn = len(den) - 1
+    q = [Frac(0)] * max(len(num) - dn, 1)
+    for i in range(len(num) - dn - 1, -1, -1):
+        c = num[i + dn] / den[dn]
+        q[i] = c
+        for j in range(dn + 1):
+            num[i + j] -= c * den[j]
+    return q, num[:dn]
+
+
+def _poly_mul(a, b):
+    out = [Frac(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_sub(a, b):
+    out = [Frac(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, x in enumerate(b):
+        out[i] -= x
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -6,21 +6,10 @@ sums of  q * e(r + s*t)  (q, s rational; r with denominator up to 12, so
 constants of conductor up to 12 and their products) and must give the same
 representation: the same exponents, conductors and coordinates, and so a
 byte-identical ``render``.  ``ThetaLin`` exponents are compared the same way.
-
-The reference tabulates zeta^k for every conductor m it meets, m * phi(m)
-``Fraction``s, and multiplies densely.  A binary operation on two random sums
-can meet conductors up to 27720 (the lcm of 5, 7, 8, 9 and 11: 160M table
-entries), and one such draw held 2.8 GB after three minutes.  So a binary
-operation whose conductor passes ``REF_CONDUCTOR`` (about one draw in 150) is
-checked in the package alone, against complex arithmetic.
-``tests/test_scalars.py`` checks the package exactly at conductors 2520 and
-27720.
 """
 
-import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,8 +17,6 @@ import scalars_ref as ref
 from qiso import scalars as new
 
 SETTINGS = settings(deadline=None, max_examples=60)
-REF_CONDUCTOR = 1000
-THETA = 0.3  # where the numeric checks evaluate e(s*t)
 
 rationals = st.builds(
     Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 5])
@@ -67,16 +54,6 @@ def assert_same(x, y):
     assert x.render() == y.render()
 
 
-def conductor(x):
-    """The least common conductor of x's coefficients."""
-    return math.lcm(1, *(c.n for c in x.terms.values()))
-
-
-def assert_close(u, z):
-    """u, a package value, is the complex number z."""
-    assert abs(u.numeric(THETA) - z) < 1e-6
-
-
 @SETTINGS
 @given(specs)
 def test_construction(spec):
@@ -91,17 +68,12 @@ def test_construction(spec):
 @given(specs, specs)
 def test_ring_operations(a, b):
     (x, xr), (y, yr) = both(a), both(b)
-    assert_same(-x, -xr)
-    assert_same(x.conj(), xr.conj())
-    if math.lcm(conductor(x), conductor(y)) > REF_CONDUCTOR:
-        X, Y = x.numeric(THETA), y.numeric(THETA)
-        for u, z in ((x + y, X + Y), (x - y, X - Y), (x * y, X * Y), (y * x, X * Y)):
-            assert_close(u, z)
-        return
     assert_same(x + y, xr + yr)
     assert_same(x - y, xr - yr)
     assert_same(x * y, xr * yr)
     assert_same(y * x, yr * xr)
+    assert_same(-x, -xr)
+    assert_same(x.conj(), xr.conj())
     assert (x == y) == (xr == yr)
 
 
@@ -135,10 +107,6 @@ def test_unit_powers_and_inverse(a, k):
 @given(specs, thetas)
 def test_specialize(a, theta):
     x, xr = both(a)
-    fields = (math.lcm(c.n, (s * theta).denominator) for s, c in x.terms.items())
-    if math.lcm(1, *fields) > REF_CONDUCTOR:
-        assert abs(x.specialize(theta).numeric() - x.numeric(float(theta))) < 1e-6
-        return
     assert_same(x.specialize(theta), xr.specialize(theta))
 
 
@@ -152,56 +120,26 @@ def test_specialize_is_a_ring_map(a, b, theta):
     assert x.conj().specialize(theta) == sx.conj()
 
 
-def cyclo(kernel, spec):
-    """sum q * e(r) over the spec, in the kernel's Cyclo."""
-    x = kernel.Cyclo.zero()
-    for q, r in spec:
-        x = x + kernel.Cyclo.rational(q) * kernel.Cyclo.root(r)
-    return x
-
-
 @SETTINGS
 @given(st.lists(st.tuples(rationals, roots), max_size=3),
        st.lists(st.tuples(rationals, roots), max_size=3))
 def test_cyclo_operations(a, b):
-    x, xr, y, yr = cyclo(new, a), cyclo(ref, a), cyclo(new, b), cyclo(ref, b)
-    pairs = [(x, xr), (-x, -xr), (x.conj(), xr.conj())]
-    if math.lcm(x.n, y.n) > REF_CONDUCTOR:
-        X, Y = x.numeric(), y.numeric()
-        for u, z in ((x + y, X + Y), (x - y, X - Y), (x * y, X * Y)):
-            assert abs(u.numeric() - z) < 1e-6
-    else:
-        pairs += [(x + y, xr + yr), (x - y, xr - yr), (x * y, xr * yr)]
-    for u, ur in pairs:
+    def cyc(kernel, spec):
+        x = kernel.Cyclo.zero()
+        for q, r in spec:
+            x = x + kernel.Cyclo.rational(q) * kernel.Cyclo.root(r)
+        return x
+
+    x, xr, y, yr = cyc(new, a), cyc(ref, a), cyc(new, b), cyc(ref, b)
+    for u, ur in ((x, xr), (x + y, xr + yr), (x - y, xr - yr), (x * y, xr * yr),
+                  (-x, -xr), (x.conj(), xr.conj())):
         assert (u.n, tuple(u.c)) == (ur.n, tuple(ur.c))
         assert u.render() == ur.render()
         assert u.is_zero() == ur.is_zero()
         assert u.is_rational() == ur.is_rational()
     if not x.is_zero():
-        # The reference's Euclid inverse takes minutes near conductor 1000,
-        # so the reference checks the inverse by multiplication instead.
-        # Coordinates at a fixed conductor are unique, so an inverse with the
-        # conductor and length of x whose product with x is one is the
-        # reference's own inverse, coordinate for coordinate.
-        inv = x.inv()
-        assert (inv.n, len(inv.c)) == (xr.n, len(xr.c))
-        one = ref.Cyclo(inv.n, inv.c) * xr
-        assert (one.n, tuple(one.c)) == (1, (1,))
-
-
-@pytest.mark.parametrize("dens", [(3, 4), (5, 8), (7, 9), (5, 12), (4, 3, 11)])
-def test_cyclo_inverse_equals_reference(dens):
-    # the Galois-norm inverse against the reference's Euclid inverse itself,
-    # at conductors (12 to 132) where the Euclid is quick
-    for c in range(-1, 3):
-        spec = [(Fraction(c), Fraction(0))] + [
-            (Fraction(i + 3 + c, i + 2), Fraction(1, d)) for i, d in enumerate(dens)
-        ]
-        x, xr = cyclo(new, spec), cyclo(ref, spec)
-        assert x.n == xr.n == math.lcm(*dens)
         inv, invr = x.inv(), xr.inv()
         assert (inv.n, tuple(inv.c)) == (invr.n, tuple(invr.c))
-        assert inv.render() == invr.render()
 
 
 @SETTINGS
