@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 
-from .freealg import Element, FreeAlgebra, TensorAlgebra
+from .freealg import Element, FreeAlgebra, TensorAlgebra, same_ambient
 from .scalars import Scalar
 
 YES = "YES"
@@ -267,12 +267,12 @@ class Membership:
 def ideal_member(p: Element, rules: RuleSet) -> Membership:
     """Two-sided ideal membership with verified certificates.
 
-    ``rules`` is a completed system over ``p``'s own algebra.  Returns YES
-    with a certificate expressing p as a combination of ``rules.relations``
-    (checked by re-expansion), or UNDECIDED if the normal form at the cap of
-    ``rules`` is nonzero.
+    ``rules`` is a completed system over ``p``'s algebra or a ``same_ambient``
+    one.  Returns YES with a certificate expressing p as a combination of
+    ``rules.relations`` (checked by re-expansion), or UNDECIDED if the normal
+    form at the cap of ``rules`` is nonzero.
     """
-    if p.ambient is not rules.algebra:
+    if not same_ambient(p.ambient, rules.algebra):
         raise ValueError("element and rewriting system live in different algebras")
     nf, cert = rules.normal_form(p, with_cert=True)
     if not nf.is_zero():
@@ -283,7 +283,10 @@ def ideal_member(p: Element, rules: RuleSet) -> Membership:
 
 
 def verify_certificate(p: Element, relations, cert) -> bool:
-    """Re-expand sum c*u*r*v and compare with p."""
+    """Re-expand sum c*u*r*v and compare with p (ValueError if a relation
+    the certificate uses lives in another algebra than p)."""
+    if not all(same_ambient(p.ambient, relations[k].ambient) for k in {e[2] for e in cert}):
+        raise ValueError("certificate relation and element live in different algebras")
     acc = Element.zero(p.ambient)
     for c, u, k, v in cert:
         for m, rc in relations[k].t.items():

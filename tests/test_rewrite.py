@@ -117,12 +117,34 @@ class TestMembership:
         assert verify_certificate(comm, [r3, r6], res.certificate)
 
     def test_element_of_another_algebra_is_rejected(self, torus_rules):
-        # the same words read in another algebra name different elements
+        # other generator names make another algebra, even where the words
+        # agree letter for letter
         _alg, rules, _ = torus_rules
-        other = FreeAlgebra(["U", "V"])
+        other = FreeAlgebra(["U", "W"])
         U = other.gen("U")
         with pytest.raises(ValueError, match="different algebras"):
             ideal_member(U * U.star() - Element.unit(other), rules)
+
+    def test_structurally_equal_algebra_is_accepted(self, torus_rules):
+        # freealg.same_ambient decides here, as it does in Element arithmetic
+        _alg, rules, rels = torus_rules
+        twin = FreeAlgebra(["U", "V"])
+        U = twin.gen("U")
+        p = U * U.star() - Element.unit(twin)
+        res = ideal_member(p, rules)
+        assert res.status == YES
+        assert verify_certificate(p, rels, res.certificate)
+
+    def test_certificate_over_relations_of_another_algebra(self, torus_rules):
+        alg, rules, rels = torus_rules
+        U = alg.gen("U")
+        p = U * U.star() - Element.unit(alg)
+        cert = ideal_member(p, rules).certificate
+        uv = FreeAlgebra(["u", "v"])
+        u = uv.gen("u")
+        foreign = [u * u.star() - Element.unit(uv)] * len(rels)
+        with pytest.raises(ValueError, match="different algebras"):
+            verify_certificate(p, foreign, cert)
 
 
 def test_unit_ideal_is_a_named_error():
