@@ -485,7 +485,7 @@ def _scalar_coords(scalars):
     for s in scalars:
         row = {}
         for expo, cy in s.terms.items():
-            for i, v in enumerate(cy._to(N)):
+            for i, v in enumerate(cy.coords(N)):
                 if v:
                     key = (expo, i)
                     if key not in seen:

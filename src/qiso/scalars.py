@@ -151,6 +151,12 @@ class Cyclo:
                     out[i] += v * p[i]
         return tuple(out)
 
+    def coords(self, m: int) -> tuple:
+        """Exact ``Fraction`` coordinates in the power basis of Q(zeta_m), n | m."""
+        if m % self.n:
+            raise ValueError(f"Q(zeta_{self.n}) is not inside Q(zeta_{m})")
+        return self._to(m)
+
     def _lcm(self, other: "Cyclo") -> int:
         return self.n * other.n // gcd(self.n, other.n)
 
