@@ -6,19 +6,32 @@ c_s lies in a cyclotomic field Q(zeta_N).  Because the exponentials e(s*t) for
 distinct s are linearly independent over every cyclotomic field (t formal),
 the zero test is exact: a scalar is zero iff every cyclotomic coefficient is.
 
+A ``Cyclo`` holds integer coordinates in the power basis mod Phi_n over one
+positive common denominator, in lowest terms (the gcd of the denominator and
+every coordinate is 1).  So a value has one form at each conductor, and ``==``
+at one conductor is a tuple compare.  The result of an operation has the lcm
+of its operands' conductors, and only a rational result moves to n = 1.
+Rationals (conductor 1) are combined on two ints, with a gcd only when a
+denominator is not 1.  Other products and embeddings multiply over the nonzero
+coordinates and reduce once by the sparse tail of Phi_m, and the inverse
+multiplies by Galois conjugates until the product is the rational norm.
+``Cyclo.coords`` reads exact ``Fraction`` coordinates.
+
+``Scalar`` exponent keys are ``int`` when integral and ``Fraction`` otherwise,
+so they hash and compare as the same rationals at the cost of an int.
+
 ``Cyclo`` and ``Scalar`` values are immutable: operations may return one of
-their operands or the shared ``ONE``/``ZERO``, so no code may mutate ``.c`` or
-``.terms``.  The common cases take fast paths: rationals (conductor 1) are
-combined with one ``Fraction`` operation, a rational times a cyclotomic only
-scales coordinates, and a product or power of one-term scalars builds a
-single term without the general merge loop.
+their operands or a shared constant, so no code may mutate ``.c`` or
+``.terms``.  A product or power of one-term scalars builds a single term
+without the general merge loop.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from itertools import islice
+from math import gcd, prod
 
 Frac = Fraction
 
@@ -27,255 +40,315 @@ Frac = Fraction
 # ---------------------------------------------------------------------------
 
 
-def _poly_divmod_int(num, den):
-    """Exact division of integer polynomials (lists, low degree first)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(num) - len(den), -1, -1):
-        q, r = divmod(num[i + len(den) - 1], den[-1])
-        assert r == 0
-        out[i] = q
-        for j, d in enumerate(den):
-            num[i + j] -= q * d
-    assert all(v == 0 for v in num)
+def _primes(k: int) -> list:
+    """The prime factors of k, ascending."""
+    out, p = [], 2
+    while k > 1:
+        if p * p > k:
+            p = k
+        if k % p == 0:
+            out.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
     return out
 
 
-_PHI_CACHE: dict[int, list[int]] = {1: [-1, 1]}
+_PHI: dict[int, list[int]] = {}
 
 
 def cyclotomic_poly(n: int) -> list[int]:
-    """Coefficients of the n-th cyclotomic polynomial, low degree first."""
-    if n not in _PHI_CACHE:
-        num = [0] * (n + 1)
-        num[0], num[n] = -1, 1
-        den = [1]
-        for d in range(1, n):
-            if n % d == 0:
-                phi_d = cyclotomic_poly(d)
-                new = [0] * (len(den) + len(phi_d) - 1)
-                for i, a in enumerate(den):
-                    for j, b in enumerate(phi_d):
-                        new[i + j] += a * b
-                den = new
-        _PHI_CACHE[n] = _poly_divmod_int(num, den)
-    return _PHI_CACHE[n]
+    """Coefficients of the n-th cyclotomic polynomial, low degree first.
+
+    Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, and for squarefree r it
+    is the product of (x^d - 1)^mu(r/d) over the divisors d of r: each factor
+    is one sparse multiplication or exact division."""
+    phi = _PHI.get(n)
+    if phi is None:
+        primes = _primes(n)
+        r = prod(primes)
+        if r < n:
+            base, k = cyclotomic_poly(r), n // r
+            phi = [0] * ((len(base) - 1) * k + 1)
+            phi[::k] = base
+        else:
+            up, down = [], []
+            for mask in range(1 << len(primes)):
+                sub = prod(p for i, p in enumerate(primes) if mask >> i & 1)
+                (down if bin(mask).count("1") % 2 else up).append(n // sub)
+            phi = [1]
+            for d in up:  # times x^d - 1
+                new = [0] * (len(phi) + d)
+                for i, v in enumerate(phi):
+                    new[i] -= v
+                    new[i + d] += v
+                phi = new
+            for d in down:  # over x^d - 1: phi[i] = q[i - d] - q[i]
+                q = [0] * (len(phi) - d)
+                for i in range(len(q)):
+                    q[i] = (q[i - d] if i >= d else 0) - phi[i]
+                phi = q
+        _PHI[n] = phi
+    return phi
 
 
-class _Field:
-    """Reduction tables for one conductor n."""
+_TAILS: dict[int, tuple] = {}
 
-    __slots__ = ("n", "deg", "pows")
 
-    def __init__(self, n: int):
+def _phi_tail(n: int) -> tuple:
+    """deg Phi_n and the nonzero (j, c) of Phi_n below its leading term."""
+    t = _TAILS.get(n)
+    if t is None:
         phi = cyclotomic_poly(n)
-        self.n = n
-        self.deg = len(phi) - 1
-        d = self.deg
-        # pows[k] = power basis coordinates of zeta^k, k up to max needed
-        top = [Frac(-c) for c in phi[:d]]  # zeta^d
-        pows = [[Frac(0)] * d for _ in range(max(n, 2 * d - 1))]
-        for k in range(len(pows)):
-            if k < d:
-                pows[k][k] = Frac(1)
-            else:
-                prev = pows[k - 1]
-                cur = [Frac(0)] + list(prev[: d - 1])
-                lead = prev[d - 1]
-                if lead:
-                    for i in range(d):
-                        cur[i] += lead * top[i]
-                pows[k] = cur
-        self.pows = [tuple(p) for p in pows]
+        t = _TAILS[n] = (len(phi) - 1, tuple((j, c) for j, c in enumerate(phi[:-1]) if c))
+    return t
 
 
-_FIELDS: dict[int, _Field] = {}
+def _reduce(n: int, p: list) -> list:
+    """The integer coordinates of  sum p[k] zeta_n^k, in p (which it
+    overwrites): fold with zeta^n = 1, then divide by the monic Phi_n."""
+    d, tail = _phi_tail(n)
+    for k in range(n, len(p)):
+        if p[k]:
+            p[k % n] += p[k]
+    del p[n:]
+    for k in range(len(p) - 1, d - 1, -1):
+        v = p[k]
+        if v:
+            base = k - d
+            for j, c in tail:
+                p[base + j] -= v * c
+    del p[d:]
+    p.extend([0] * (d - len(p)))
+    return p
 
 
-def _field(n: int) -> _Field:
-    if n not in _FIELDS:
-        _FIELDS[n] = _Field(n)
-    return _FIELDS[n]
+def _mul(n: int, a, b, sa: int = 1, sb: int = 1) -> list:
+    """Integer coordinates of  a(zeta_n^sa) * b(zeta_n^sb): one sparse
+    convolution over the nonzero coordinates, reduced once."""
+    bs = [(j * sb, y) for j, y in enumerate(b) if y]
+    p = [0] * ((len(a) - 1) * sa + bs[-1][0] + 1)
+    for i, x in enumerate(a):
+        if x:
+            i *= sa
+            for j, y in bs:
+                p[i + j] += x * y
+    return _reduce(n, p)
+
+
+def _embed(c, n: int, m: int) -> list:
+    """Integer coordinates c of Q(zeta_n) as coordinates of Q(zeta_m), n | m."""
+    if n == m:
+        return list(c)
+    step = m // n
+    p = [0] * ((len(c) - 1) * step + 1)
+    p[::step] = c
+    return _reduce(m, p)
+
+
+def _galois(n: int, c, g: int) -> list:
+    """The automorphism zeta_n -> zeta_n^g on integer coordinates."""
+    p = [0] * n
+    for k, v in enumerate(c):
+        if v:
+            p[k * g % n] = v
+    return _reduce(n, p)
+
+
+_GENS: dict[int, list] = {}
+
+
+def _unit_gens(n: int) -> list:
+    """Pairs (g, h): units g mod n of order h whose cyclic groups multiply
+    to (Z/n)^*, one or two per prime power q of n, lifted from Z/q by CRT."""
+    gens = _GENS.get(n)
+    if gens is None:
+        gens = _GENS[n] = []
+        for p in _primes(n):
+            q = p
+            while n % (q * p) == 0:
+                q *= p
+            if p == 2:  # -1 and 5 generate (Z/2^e)^*
+                local = ([(q - 1, 2)] if q > 2 else []) + ([(5, q // 4)] if q > 4 else [])
+            else:  # cyclic: the least primitive root
+                h, rs = q // p * (p - 1), _primes(q // p * (p - 1))
+                g = next(g for g in range(2, q) if g % p and all(pow(g, h // r, q) != 1 for r in rs))
+                local = [(g, h)]
+            rest = n // q
+            gens += [(1 + rest * ((g - 1) * pow(rest, -1, q) % q), h) for g, h in local]
+    return gens
+
+
+_ROOTS: dict[int, dict] = {}  # conductor n -> {k: e(k/n)}
 
 
 class Cyclo:
-    """An element of Q(zeta_n) in the power basis mod Phi_n.
+    """An element of Q(zeta_n): sum c[k] zeta_n^k / d in the power basis mod
+    Phi_n, with integers c[k] and d > 0 in lowest terms.
 
-    Rational values always have n == 1 (``_shrink``), so the conductor-1 fast
-    paths below see every rational operand.
+    Rational values always have n == 1, so the conductor-1 fast paths below
+    see every rational operand, and every value with n > 1 is irrational.
     """
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "c", "d")
 
-    def __init__(self, n: int, c: tuple):
-        self.n = n
-        self.c = c
-        self._shrink()
-
-    def _shrink(self):
-        if self.n > 1 and all(v == 0 for v in self.c[1:]):
-            self.c = (self.c[0],)
-            self.n = 1
+    def __init__(self, n: int, c):
+        """sum c[k] zeta_n^k for rationals c[k], any k >= 0."""
+        c = [Frac(v) for v in c] or [Frac(0)]
+        d = 1
+        for v in c:
+            d = d * v.denominator // gcd(d, v.denominator)
+        x = _make(n, _reduce(n, [v.numerator * (d // v.denominator) for v in c]), d)
+        self.n, self.c, self.d = x.n, x.c, x.d
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def zero() -> "Cyclo":
-        return _cyclo(1, (Frac(0),))
+        return _ZERO
 
     @staticmethod
     def rational(q) -> "Cyclo":
-        return _cyclo(1, (Frac(q),))
+        if q.__class__ is int:
+            return _cyclo(1, (q,), 1)
+        q = Frac(q)
+        return _cyclo(1, (q.numerator,), q.denominator)
 
     @staticmethod
-    def root(r: Fraction) -> "Cyclo":
+    def root(r) -> "Cyclo":
         """e(r) for rational r, as a root of unity."""
-        if not r:
-            return _cyclo(1, _field(1).pows[0])
-        r = Frac(r) % 1
+        if r.__class__ is not Frac:
+            r = Frac(r)
         n = r.denominator
-        f = _field(n)
-        return Cyclo(n, f.pows[r.numerator % n])
+        if n == 1:
+            return _ONE
+        roots = _ROOTS.get(n)
+        if roots is None:
+            roots = _ROOTS[n] = {}
+        k = r.numerator % n
+        x = roots.get(k)
+        if x is None:
+            x = roots[k] = _make(n, _reduce(n, [0] * k + [1]), 1)
+        return x
 
-    # -- helpers -----------------------------------------------------------
-    def _to(self, m: int) -> tuple:
-        """Coordinates in Q(zeta_m), n | m."""
-        if self.n == m:
-            return self.c
-        f = _field(m)
-        step = m // self.n
-        out = [Frac(0)] * f.deg
-        for k, v in enumerate(self.c):
-            if v:
-                p = f.pows[k * step]
-                for i in range(f.deg):
-                    out[i] += v * p[i]
-        return tuple(out)
-
+    # -- coordinates ---------------------------------------------------------
     def coords(self, m: int) -> tuple:
         """Exact ``Fraction`` coordinates in the power basis of Q(zeta_m), n | m."""
         if m % self.n:
             raise ValueError(f"Q(zeta_{self.n}) is not inside Q(zeta_{m})")
-        return self._to(m)
-
-    def _lcm(self, other: "Cyclo") -> int:
-        return self.n * other.n // gcd(self.n, other.n)
+        d = self.d
+        return tuple(Frac(v, d) for v in _embed(self.c, self.n, m))
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Cyclo") -> "Cyclo":
-        if self.n == 1 and other.n == 1:
-            return _cyclo(1, (self.c[0] + other.c[0],))
-        m = self._lcm(other)
-        a, b = self._to(m), other._to(m)
-        return Cyclo(m, tuple(x + y for x, y in zip(a, b)))
+        n, m = self.n, other.n
+        a, b = self.d, other.d
+        if n == 1 and m == 1:
+            if a == 1 and b == 1:
+                return _cyclo(1, (self.c[0] + other.c[0],), 1)
+            return _rat(self.c[0] * b + other.c[0] * a, a * b)
+        if n == m:
+            x, y = self.c, other.c
+        else:
+            k = n * m // gcd(n, m)
+            x, y, n = _embed(self.c, n, k), _embed(other.c, m, k), k
+        if a == b:
+            return _make(n, [u + v for u, v in zip(x, y)], a)
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        return _make(n, [u * b + v * a for u, v in zip(x, y)], a * b * g)
 
     def __neg__(self) -> "Cyclo":
         if self.n == 1:
-            return _cyclo(1, (-self.c[0],))
-        return _cyclo(self.n, tuple(-x for x in self.c))
+            return _cyclo(1, (-self.c[0],), self.d)
+        return _cyclo(self.n, tuple(-v for v in self.c), self.d)
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
         return self + (-other)
 
     def __mul__(self, other: "Cyclo") -> "Cyclo":
-        if self.n == 1:
-            if other.n == 1:
-                return _cyclo(1, (self.c[0] * other.c[0],))
-            return _scale(other, self.c[0])
-        if other.n == 1:
-            return _scale(self, other.c[0])
-        m = self._lcm(other)
-        f = _field(m)
-        a, b = self._to(m), other._to(m)
-        d = f.deg
-        conv = [Frac(0)] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = [Frac(0)] * d
-        for k, v in enumerate(conv):
-            if v:
-                p = f.pows[k]
-                for i in range(d):
-                    out[i] += v * p[i]
-        return Cyclo(m, tuple(out))
+        n, m = self.n, other.n
+        if n == 1:
+            if m == 1:
+                a, b = self.d, other.d
+                if a == 1 and b == 1:
+                    return _cyclo(1, (self.c[0] * other.c[0],), 1)
+                return _rat(self.c[0] * other.c[0], a * b)
+            return _scale(other, self.c[0], self.d)
+        if m == 1:
+            return _scale(self, other.c[0], other.d)
+        k = n * m // gcd(n, m)
+        return _make(k, _mul(k, self.c, other.c, k // n, k // m), self.d * other.d)
 
     def conj(self) -> "Cyclo":
+        # zeta -> zeta^-1 maps Z[zeta] onto itself, so the form stays lowest
         if self.n == 1:
             return self
-        f = _field(self.n)
-        d = f.deg
-        out = [Frac(0)] * d
-        for k, v in enumerate(self.c):
-            if v:
-                p = f.pows[(self.n - k) % self.n]
-                for i in range(d):
-                    out[i] += v * p[i]
-        return Cyclo(self.n, tuple(out))
+        return _cyclo(self.n, tuple(_galois(self.n, self.c, self.n - 1)), self.d)
 
     def inv(self) -> "Cyclo":
-        """Field inverse via extended Euclid mod Phi_n."""
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic")
-        if self.n == 1:
-            return _cyclo(1, (1 / self.c[0],))
-        phi = [Frac(v) for v in cyclotomic_poly(self.n)]
-        a = list(self.c)
-        while a and a[-1] == 0:
-            a.pop()
-        # extended euclid: s*a + t*phi = gcd (constant)
-        r0, r1 = phi, a
-        s0, s1 = [Frac(0)], [Frac(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod_frac(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if not r1:
-                raise ZeroDivisionError("non-invertible cyclotomic element")
-        g = r1[0]
-        inv = [v / g for v in s1]
-        f = _field(self.n)
-        out = [Frac(0)] * f.deg
-        for k, v in enumerate(inv):
-            if v:
-                p = f.pows[k]
-                for i in range(f.deg):
-                    out[i] += v * p[i]
-        return Cyclo(self.n, tuple(out))
+        """Field inverse (Cohen, GTM 138, section 4.3).  Multiplying x by its
+        conjugates under one cyclic factor of Gal(Q(zeta_n)/Q) = (Z/n)^* after
+        another ends in the rational norm N(x); the conjugates multiplied in,
+        over N(x), are 1/x."""
+        n = self.n
+        if n == 1:
+            if not self.c[0]:
+                raise ZeroDivisionError("inverse of zero cyclotomic")
+            return _rat(self.d, self.c[0])
+        y, cof = self.c, None
+        for g, h in _unit_gens(n):
+            z = part = _galois(n, y, g)
+            for _ in range(h - 2):
+                z = _galois(n, z, g)
+                part = _mul(n, part, z)
+            y = _mul(n, y, part)
+            cof = part if cof is None else _mul(n, cof, part)
+        norm = y[0]
+        if any(islice(y, 1, None)):
+            raise ArithmeticError(f"norm of {self.render()} is not rational")
+        if norm < 0:
+            norm, cof = -norm, [-v for v in cof]
+        return _lowest(n, [v * self.d for v in cof], norm)
 
     # -- predicates / output ------------------------------------------------
     def is_zero(self) -> bool:
-        if self.n == 1:
-            return not self.c[0]
-        return all(v == 0 for v in self.c)
+        return self.n == 1 and not self.c[0]
 
     def is_rational(self) -> bool:
-        return self.n == 1 or all(v == 0 for v in self.c[1:])
+        return self.n == 1
 
     def rational_value(self) -> Fraction:
-        assert self.is_rational()
-        return self.c[0]
+        if self.n != 1:
+            raise ValueError(f"not a rational: {self.render()}")
+        return Frac(self.c[0], self.d)
 
     def numeric(self) -> complex:
         z = cmath.exp(2j * cmath.pi / self.n)
-        return sum(float(v) * z**k for k, v in enumerate(self.c) if v)
+        d = self.d
+        return sum(v / d * z**k for k, v in enumerate(self.c) if v)
 
     def __eq__(self, other):
         if not isinstance(other, Cyclo):
             return NotImplemented
-        return (self - other).is_zero()
+        n, m = self.n, other.n
+        if n == m:
+            return self.d == other.d and self.c == other.c
+        if n == 1 or m == 1:  # rational against irrational
+            return False
+        k = n * m // gcd(n, m)
+        return self.d == other.d and _embed(self.c, n, k) == _embed(other.c, m, k)
 
     def __hash__(self):
         raise TypeError("Cyclo is unhashable")
 
     def render(self) -> str:
         parts = []
+        d = self.d
         for k, v in enumerate(self.c):
             if v == 0:
                 continue
+            if d != 1:
+                v = Frac(v, d)
             if k == 0:
                 parts.append(str(v))
             else:
@@ -292,25 +365,57 @@ class Cyclo:
         return f"Cyclo({self.render()})"
 
 
-def _cyclo(n: int, c: tuple) -> Cyclo:
-    """A Cyclo whose coordinates are already in shrunk form (no ``_shrink``)."""
+def _cyclo(n: int, c: tuple, d: int) -> Cyclo:
+    """A Cyclo on coordinates already in lowest terms, taken as is."""
     x = object.__new__(Cyclo)
     x.n = n
     x.c = c
+    x.d = d
     return x
 
 
-def _scale(x: Cyclo, q: Fraction) -> Cyclo:
-    """The rational q times x.  A nonzero factor keeps x's shape."""
-    if not q:
-        return _cyclo(1, (q,))
-    return _cyclo(x.n, tuple(q * v if v else v for v in x.c))
+def _rat(a: int, b: int) -> Cyclo:
+    """The rational a/b, b != 0."""
+    if b != 1:
+        if b < 0:
+            a, b = -a, -b
+        g = gcd(a, b)
+        if g != 1:
+            a, b = a // g, b // g
+    return _cyclo(1, (a,), b)
+
+
+def _lowest(n: int, p: list, d: int) -> Cyclo:
+    """The irrational sum p[k] zeta_n^k / d (integers, d > 0) in lowest terms."""
+    if d != 1:
+        g = gcd(d, *p)
+        if g != 1:
+            p = [v // g for v in p]
+            d //= g
+    return _cyclo(n, tuple(p), d)
+
+
+def _make(n: int, p: list, d: int) -> Cyclo:
+    """sum p[k] zeta_n^k / d for reduced integer coordinates p and d > 0; a
+    rational value moves to n = 1."""
+    if not any(islice(p, 1, None)):
+        return _rat(p[0], d)
+    return _lowest(n, p, d)
+
+
+def _scale(x: Cyclo, a: int, b: int) -> Cyclo:
+    """The rational a/b (lowest terms, b > 0) times the irrational x."""
+    if not a:
+        return _ZERO
+    if a == 1 and b == 1:
+        return x
+    return _lowest(x.n, [a * v for v in x.c], b * x.d)
 
 
 def _cyclo_pow(x: Cyclo, k: int) -> Cyclo:
     """x**k for k >= 1, by repeated squaring."""
     if x.n == 1:
-        return _cyclo(1, (x.c[0] ** k,))
+        return _cyclo(1, (x.c[0] ** k,), x.d**k)
     out = None
     while True:
         if k & 1:
@@ -321,33 +426,9 @@ def _cyclo_pow(x: Cyclo, k: int) -> Cyclo:
         x = x * x
 
 
-def _poly_divmod_frac(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    q = [Frac(0)] * max(len(num) - dn, 1)
-    for i in range(len(num) - dn - 1, -1, -1):
-        c = num[i + dn] / den[dn]
-        q[i] = c
-        for j in range(dn + 1):
-            num[i + j] -= c * den[j]
-    return q, num[:dn]
+_ZERO = _cyclo(1, (0,), 1)
+_ONE = _cyclo(1, (1,), 1)
 
-
-def _poly_mul(a, b):
-    out = [Frac(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    out = [Frac(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +492,18 @@ def _lin(const: Fraction, coef: Fraction) -> ThetaLin:
     return x
 
 
+
 # ---------------------------------------------------------------------------
 # the scalar ring
 # ---------------------------------------------------------------------------
+
+
+def _key(s) -> int | Fraction:
+    """The exponent key of the rational s: an int when s is integral."""
+    if s.__class__ is int:
+        return s
+    s = Frac(s)
+    return s.numerator if s.denominator == 1 else s
 
 
 class Scalar:
@@ -426,7 +516,7 @@ class Scalar:
         if terms:
             for s, c in terms.items():
                 if not c.is_zero():
-                    self.terms[Frac(s)] = c
+                    self.terms[_key(s)] = c
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -439,22 +529,23 @@ class Scalar:
 
     @staticmethod
     def rational(q) -> "Scalar":
-        return Scalar({Frac(0): Cyclo.rational(q)})
+        c = Cyclo.rational(q)
+        return _scalar({0: c}) if c.c[0] else ZERO
 
     @staticmethod
     def root(r) -> "Scalar":
         """e(r) for rational r."""
-        return Scalar({Frac(0): Cyclo.root(Frac(r))})
+        return _scalar({0: Cyclo.root(r)})
 
     @staticmethod
     def phase(s) -> "Scalar":
         """e(s*t): the s-th power of the fundamental deformation phase."""
-        return Scalar({Frac(s): Cyclo.rational(1)})
+        return _scalar({_key(s): _ONE})
 
     @staticmethod
     def exponential(x: ThetaLin) -> "Scalar":
         """e(const + coef*t) as an exact scalar."""
-        return _scalar({x.coef: Cyclo.root(x.const)})
+        return _scalar({_key(x.coef): Cyclo.root(x.const)})
 
     @staticmethod
     def coerce(v) -> "Scalar":
@@ -514,12 +605,21 @@ class Scalar:
             # nonzero field elements have a nonzero product: no zero test
             ((s1, c1),) = t1.items()
             ((s2, c2),) = t2.items()
-            s = s2 if not s1 else (s1 if not s2 else s1 + s2)
+            if not s1:
+                s = s2
+            elif not s2:
+                s = s1
+            else:
+                s = s1 + s2
+                if s.__class__ is not int and s.denominator == 1:
+                    s = s.numerator
             return _scalar({s: c1 * c2})
         out: dict = {}
         for s1, c1 in t1.items():
             for s2, c2 in t2.items():
                 s = s1 + s2
+                if s.__class__ is not int and s.denominator == 1:
+                    s = s.numerator
                 c = c1 * c2
                 if s in out:
                     r = out[s] + c
@@ -527,7 +627,7 @@ class Scalar:
                         del out[s]
                     else:
                         out[s] = r
-                elif not c.is_zero():
+                else:
                     out[s] = c
         return _scalar(out)
 
@@ -540,15 +640,15 @@ class Scalar:
             return ONE
         if len(self.terms) == 1:
             ((s, c),) = self.terms.items()
-            return _scalar({k * s: _cyclo_pow(c, k)})
-        out = Scalar.one()
-        base = self
-        while k:
+            return _scalar({_key(k * s): _cyclo_pow(c, k)})
+        out, base = ONE, self
+        while True:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
-        return out
+            if not k:
+                return out
+            base = base * base
 
     def conj(self) -> "Scalar":
         return _scalar({-s: c.conj() for s, c in self.terms.items()})
@@ -567,26 +667,31 @@ class Scalar:
         return not self.terms
 
     def is_one(self) -> bool:
-        return (self - Scalar.one()).is_zero()
+        return self == ONE
 
     def is_rational(self) -> bool:
-        if not self.terms:
-            return True
-        if set(self.terms) != {Frac(0)}:
-            return False
-        return self.terms[Frac(0)].is_rational()
+        t = self.terms
+        return not t or (len(t) == 1 and 0 in t and t[0].n == 1)
 
     def rational_value(self) -> Fraction:
-        if self.is_zero():
-            return Frac(0)
-        return self.terms[Frac(0)].rational_value()
+        if not self.is_rational():
+            raise ValueError(f"not a rational scalar: {self.render()}")
+        return self.terms[0].rational_value() if self.terms else Frac(0)
 
     def __eq__(self, other):
-        try:
-            other = Scalar.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return (self - other).is_zero()
+        if other.__class__ is not Scalar:
+            try:
+                other = Scalar.coerce(other)
+            except TypeError:
+                return NotImplemented
+        t1, t2 = self.terms, other.terms
+        if len(t1) != len(t2):
+            return False
+        for s, c in t1.items():
+            d = t2.get(s)
+            if d is None or not c == d:
+                return False
+        return True
 
     def __hash__(self):
         raise TypeError("Scalar is unhashable")
@@ -595,10 +700,10 @@ class Scalar:
     def specialize(self, theta: Fraction) -> "Scalar":
         """Substitute a rational value for the formal parameter t."""
         theta = Frac(theta)
-        acc = Cyclo.zero()
+        acc = _ZERO
         for s, c in self.terms.items():
             acc = acc + c * Cyclo.root(s * theta)
-        return Scalar({Frac(0): acc})
+        return ZERO if acc.is_zero() else _scalar({0: acc})
 
     def numeric(self, theta: float | None = None) -> complex:
         tot = 0j
@@ -643,7 +748,7 @@ def _scalar(terms: dict) -> Scalar:
 
 
 ZERO = _scalar({})
-ONE = _scalar({Frac(0): Cyclo.rational(1)})
+ONE = _scalar({0: _ONE})
 
 
 def join_signed(parts) -> str:
