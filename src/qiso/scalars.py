@@ -54,41 +54,35 @@ def _primes(k: int) -> list:
     return out
 
 
-_PHI: dict[int, list[int]] = {}
-
-
 def cyclotomic_poly(n: int) -> list[int]:
     """Coefficients of the n-th cyclotomic polynomial, low degree first.
 
     Phi_n(x) = Phi_r(x^(n/r)) for the radical r of n, and for squarefree r it
     is the product of (x^d - 1)^mu(r/d) over the divisors d of r: each factor
     is one sparse multiplication or exact division."""
-    phi = _PHI.get(n)
-    if phi is None:
-        primes = _primes(n)
-        r = prod(primes)
-        if r < n:
-            base, k = cyclotomic_poly(r), n // r
-            phi = [0] * ((len(base) - 1) * k + 1)
-            phi[::k] = base
-        else:
-            up, down = [], []
-            for mask in range(1 << len(primes)):
-                sub = prod(p for i, p in enumerate(primes) if mask >> i & 1)
-                (down if bin(mask).count("1") % 2 else up).append(n // sub)
-            phi = [1]
-            for d in up:  # times x^d - 1
-                new = [0] * (len(phi) + d)
-                for i, v in enumerate(phi):
-                    new[i] -= v
-                    new[i + d] += v
-                phi = new
-            for d in down:  # over x^d - 1: phi[i] = q[i - d] - q[i]
-                q = [0] * (len(phi) - d)
-                for i in range(len(q)):
-                    q[i] = (q[i - d] if i >= d else 0) - phi[i]
-                phi = q
-        _PHI[n] = phi
+    primes = _primes(n)
+    r = prod(primes)
+    if r < n:
+        base, k = cyclotomic_poly(r), n // r
+        phi = [0] * ((len(base) - 1) * k + 1)
+        phi[::k] = base
+        return phi
+    up, down = [], []
+    for mask in range(1 << len(primes)):
+        sub = prod(p for i, p in enumerate(primes) if mask >> i & 1)
+        (down if bin(mask).count("1") % 2 else up).append(n // sub)
+    phi = [1]
+    for d in up:  # times x^d - 1
+        new = [0] * (len(phi) + d)
+        for i, v in enumerate(phi):
+            new[i] -= v
+            new[i + d] += v
+        phi = new
+    for d in down:  # over x^d - 1: phi[i] = q[i - d] - q[i]
+        q = [0] * (len(phi) - d)
+        for i in range(len(q)):
+            q[i] = (q[i - d] if i >= d else 0) - phi[i]
+        phi = q
     return phi
 
 
@@ -179,9 +173,6 @@ def _unit_gens(n: int) -> list:
     return gens
 
 
-_ROOTS: dict[int, dict] = {}  # conductor n -> {k: e(k/n)}
-
-
 class Cyclo:
     """An element of Q(zeta_n): sum c[k] zeta_n^k / d in the power basis mod
     Phi_n, with integers c[k] and d > 0 in lowest terms.
@@ -221,14 +212,7 @@ class Cyclo:
         n = r.denominator
         if n == 1:
             return _ONE
-        roots = _ROOTS.get(n)
-        if roots is None:
-            roots = _ROOTS[n] = {}
-        k = r.numerator % n
-        x = roots.get(k)
-        if x is None:
-            x = roots[k] = _make(n, _reduce(n, [0] * k + [1]), 1)
-        return x
+        return _make(n, _reduce(n, [0] * (r.numerator % n) + [1]), 1)
 
     # -- coordinates ---------------------------------------------------------
     def coords(self, m: int) -> tuple:
