@@ -281,8 +281,8 @@ def o_build(spec):
 
 
 def conductor(*xs):
-    """The lcm of the conductors in oracle scalars (or coefficients)."""
-    return math.lcm(1, *(c[0] for x in xs for c in (x.values() if isinstance(x, dict) else [x])))
+    """The lcm of the conductors in oracle scalars."""
+    return math.lcm(1, *(c[0] for x in xs for c in x.values()))
 
 
 def ref_cyclo(a):
@@ -328,10 +328,6 @@ def build(kernel, spec):
     for q, r, s in spec:
         x = x + kernel.Scalar.rational(q) * kernel.Scalar.exponential(kernel.ThetaLin(r, s))
     return x
-
-
-def both(spec):
-    return build(new, spec), build(ref, spec)
 
 
 def rep(x):
