@@ -5,6 +5,8 @@ An *ambient* is any object exposing the monomial interface used by
 
 - ``one_terms()``   -> dict  monomial -> Scalar   (the unit as an element)
 - ``mul_mono(a,b)`` -> list of (Scalar, monomial) products of basis monomials
+- ``block(a)``      -> hashable key; ``mul_mono(a, b)`` is empty whenever
+  ``block(a) != block(b)``, so products may skip such pairs
 - ``star_mono(a)``  -> (Scalar, monomial)         adjoint of a basis monomial
 - ``deg(a)``        -> int                         total degree
 - ``render_mono(a)``-> str
@@ -46,6 +48,9 @@ class FreeAlgebra:
 
     def mul_mono(self, a, b):
         return [(Scalar.one(), a + b)]
+
+    def block(self, w):
+        return None
 
     def star_mono(self, w):
         out = []
@@ -109,6 +114,9 @@ class TensorAlgebra:
             prods = f.mul_mono(x, y)
             out = [(c * pc, m + (pm,)) for c, m in out for pc, pm in prods]
         return out
+
+    def block(self, a):
+        return tuple(f.block(x) for f, x in zip(self.factors, a))
 
     def star_mono(self, a):
         c = Scalar.one()

@@ -22,7 +22,9 @@ package builds is t/2 times an integer matrix), so den * p.Jq is the integer
 pair (p^T C q, p^T T q).  The exponential of each such pair is memoised on
 the matrix.  Every twisted product goes through one kernel,
 :func:`phased_product`, which groups each operand's terms by degree and so
-takes one phase per pair of degrees.
+takes one phase per pair of degrees.  It visits only same-block term pairs:
+the ambient's ``block`` key (the block index on a direct sum) tells which
+pairs can have a nonzero product, and the others are never formed.
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ class BlockAlgebra:
             if k:
                 phase = phase * self._comm_pow(pair, k)
         return [(phase, tuple(x + y for x, y in zip(m1, m2)))]
+
+    def block(self, m):
+        return None
 
     def star_mono(self, m):
         phase = Scalar.one()
@@ -161,6 +166,9 @@ class DirectSum:
         if k1 != k2:
             return []
         return [(c, (k1, m)) for c, m in self.blocks[k1].mul_mono(e1, e2)]
+
+    def block(self, m):
+        return m[0]
 
     def star_mono(self, m):
         k, e = m
@@ -328,17 +336,31 @@ def _by_degree(x: Element, grading) -> dict:
 def phased_product(x: Element, y: Element, phase, grading) -> Element:
     """x times y with the scalar ``phase(p, q)`` on each pair of terms of
     degrees p and q (``grading`` maps a monomial to its integer degree
-    vector).  The terms are grouped by degree, so ``phase`` is called once
-    per pair of degrees.  Every twisted product in the package is this kernel.
+    vector).  The terms of y are grouped by degree and then by ambient
+    ``block``, and each term of x meets only the terms of its own block, the
+    only pairs whose product can be nonzero.  ``phase`` is called at most
+    once per pair of degrees.  Every twisted product in the package is this
+    kernel.
     """
     amb = x.ambient
-    mul_mono = amb.mul_mono
+    mul_mono, block = amb.mul_mono, amb.block
     out = Element.zero(amb)
-    ys = _by_degree(y, grading).items()
+    ys = []
+    for q, yterms in _by_degree(y, grading).items():
+        blocks: dict = {}
+        for m2, c2 in yterms:
+            blocks.setdefault(block(m2), []).append((m2, c2))
+        ys.append((q, blocks))
     for p, xterms in _by_degree(x, grading).items():
-        for q, yterms in ys:
-            ph = phase(p, q)
-            for m1, c1 in xterms:
+        xs = [(block(m1), m1, c1) for m1, c1 in xterms]
+        for q, blocks in ys:
+            ph = None
+            for b, m1, c1 in xs:
+                yterms = blocks.get(b)
+                if yterms is None:
+                    continue
+                if ph is None:
+                    ph = phase(p, q)
                 c1p = c1 * ph
                 for m2, c2 in yterms:
                     c = c1p * c2

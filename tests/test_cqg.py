@@ -21,6 +21,7 @@ from qiso.cqg import (
     canonical_set,
     check_coassoc,
     check_deformed_hom,
+    check_haar_twist_invariance,
     check_hom,
     check_twist_identities,
     extract_relations,
@@ -234,6 +235,41 @@ class TestSolveHaarWeights:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestHaarTwistInvariance:
+    def test_counts_same_block_pairs(self):
+        ds = catalog.eight_block_model(Fraction(1, 3))
+        report = check_haar_twist_invariance(ds, [Fraction(1, 8)] * 8, graded.j_torus(), 1)
+        assert [(r.name, r.status, r.detail) for r in report.results] == [
+            ("haar-twist-invariance", PASS, "648 same-block monomial pairs"),
+            ("haar-action-invariance", PASS, "h(lambda_(s,u)(x)) = h(x) on all monomials"),
+        ]
+
+    @pytest.mark.parametrize("weights", [[Fraction(1, 7)] * 8, [0] * 8, [1] * 8])
+    def test_weights_must_sum_to_one(self, weights):
+        ds = catalog.eight_block_model()
+        with pytest.raises(ValueError, match="must sum to 1"):
+            check_haar_twist_invariance(ds, weights, graded.j_torus(), 1)
+
+    def test_weights_rejected_without_asserts(self):
+        # the check must not vanish under python -O
+        code = (
+            "from fractions import Fraction\n"
+            "from qiso import catalog, cqg, graded\n"
+            "ds = catalog.eight_block_model()\n"
+            "try:\n"
+            "    cqg.check_haar_twist_invariance(ds, [Fraction(1, 7)] * 8, graded.j_torus(), 1)\n"
+            "    print('returned')\n"
+            "except ValueError as exc:\n"
+            "    print('raised', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(qiso.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised Haar weights must sum to 1"
 
 
 class TestHomAndCoassoc:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qiso.catalog import eight_block_model
-from qiso.freealg import Element
+from qiso.cqg import bullet_product
+from qiso.freealg import Element, FreeAlgebra, TensorAlgebra
 from qiso.graded import (
     SIGMA,
     BlockAlgebra,
@@ -20,6 +21,7 @@ from qiso.graded import (
     j_double,
     j_torus,
     pair,
+    phased_product,
     rieffel_product,
     skew_matrix,
     twist_phase,
@@ -252,6 +254,27 @@ def ref_rieffel_product(x, y, J, grading=None) -> Element:
     return out
 
 
+def ref_all_pairs_product(x, y, phase, grading) -> Element:
+    """The degree-grouped kernel without block buckets: every term pair is
+    formed, and mul_mono drops the cross-block ones."""
+    def by_degree(z):
+        groups = {}
+        for m, c in z.t.items():
+            groups.setdefault(tuple(grading(m)), []).append((m, c))
+        return groups
+
+    amb = x.ambient
+    out = Element.zero(amb)
+    for p, xterms in by_degree(x).items():
+        for q, yterms in by_degree(y).items():
+            ph = phase(p, q)
+            for m1, c1 in xterms:
+                for m2, c2 in yterms:
+                    for pc, pm in amb.mul_mono(m1, m2):
+                        out._add_term(pm, c1 * ph * c2 * pc)
+    return out
+
+
 def _package_matrices():
     J = j_torus()
     return {"j_torus": J, "j_double": j_double(J), "bullet": block_diag(J, j_double(J))}
@@ -332,16 +355,38 @@ def _block_elements(blk):
         lambda t: Element(blk, t))
 
 
+def _ds_monos(nblocks=8):
+    return st.tuples(st.integers(0, nblocks - 1), st.tuples(_exps, _exps))
+
+
+def _elements(amb, monos):
+    return st.dictionaries(monos, _coeffs, min_size=1, max_size=6).map(lambda t: Element(amb, t))
+
+
 _DS = eight_block_model()
-_ds_elements = st.dictionaries(
-    st.tuples(st.integers(0, 7), st.tuples(_exps, _exps)), _coeffs, min_size=1, max_size=6
-).map(lambda t: Element(_DS, t))
+_ds_elements = _elements(_DS, _ds_monos())
 
 # three generators with W of the same bidegree as U V: terms share degrees
 _BLK3 = BlockAlgebra(["U", "V", "W"],
                      comm={(0, 1): Scalar.exponential(ThetaLin(0, -1)),
                            (1, 2): Scalar.exponential(ThetaLin(Fraction(1, 3), 0))},
                      bidegrees=[(1, 0), (0, 1), (1, 1)])
+
+# the bullet ambient: a twisted source torus (x) the eight-block model
+_SRC = BlockAlgebra(["U", "V"], comm={(0, 1): Scalar.exponential(ThetaLin(0, 1))})
+_SRC_DS = TensorAlgebra([_SRC, _DS])
+_src_ds_monos = st.tuples(st.tuples(_exps, _exps), _ds_monos())
+# two direct-sum legs, on three blocks each so that both legs often match
+_DS_DS = TensorAlgebra([_DS, _DS])
+_ds_ds_monos = st.tuples(_ds_monos(3), _ds_monos(3))
+
+
+def _bullet_grading(m):
+    return _SRC.degree_vec(m[0]) + _DS.bidegree(m[1])
+
+
+def _ds_ds_grading(m):
+    return _DS.bidegree(m[0]) + _DS.bidegree(m[1])
 
 
 class TestRieffelProduct:
@@ -363,3 +408,68 @@ class TestRieffelProduct:
         Jt = j_double(j_torus())
         got = rieffel_product(x, y, Jt, grading=_DS.bidegree)
         assert (got - ref_rieffel_product(x, y, Jt, grading=_DS.bidegree)).is_zero()
+
+    @PROPERTY
+    @given(_elements(_SRC_DS, _src_ds_monos), _elements(_SRC_DS, _src_ds_monos),
+           skew_matrices(2))
+    def test_bullet_product_on_multi_block_elements(self, x, y, J):
+        Jb = block_diag(J, j_double(J))
+        want = ref_rieffel_product(x, y, Jb, grading=_bullet_grading)
+        assert (bullet_product(x, y, Jb) - want).is_zero()
+
+    @PROPERTY
+    @given(_elements(_DS_DS, _ds_ds_monos), _elements(_DS_DS, _ds_ds_monos), skew_matrices(2))
+    def test_tensor_of_direct_sums(self, x, y, J):
+        Jt = j_double(J)
+        Jd = block_diag(Jt, Jt)
+        got = rieffel_product(x, y, Jd, grading=_ds_ds_grading)
+        assert (got - ref_rieffel_product(x, y, Jd, grading=_ds_ds_grading)).is_zero()
+
+    @PROPERTY
+    @given(_elements(_DS_DS, _ds_ds_monos), _elements(_DS_DS, _ds_ds_monos))
+    def test_same_terms_in_the_same_order_one_phase_per_degree_pair(self, x, y):
+        Jd = block_diag(j_double(j_torus()), j_double(j_torus()))
+        calls = []
+
+        def phase(p, q):
+            calls.append((p, q))
+            return twist_phase(p, Jd, q)
+
+        got = phased_product(x, y, phase, _ds_ds_grading)
+        assert len(calls) == len(set(calls))
+        want = ref_all_pairs_product(x, y, lambda p, q: twist_phase(p, Jd, q), _ds_ds_grading)
+        assert list(got.t) == list(want.t)
+        assert all((got.t[m] - c).is_zero() for m, c in want.t.items())
+
+
+# every ambient, with monomials that often share a block
+_FREE = FreeAlgebra(["x", "y"], selfadjoint=["y"])
+_AMBIENT_MONOS = {
+    "free": (_FREE, st.lists(st.sampled_from([0, 1, 2]), max_size=3).map(tuple)),
+    "block": (_BLK3, st.tuples(_exps, _exps, _exps)),
+    "direct-sum": (_DS, _ds_monos(3)),
+    "tensor-block-sum": (_SRC_DS, st.tuples(st.tuples(_exps, _exps), _ds_monos(3))),
+    "tensor-sum-sum": (_DS_DS, _ds_ds_monos),
+    "tensor-free-sum": (TensorAlgebra([_FREE, _DS]),
+                        st.tuples(st.lists(st.sampled_from([0, 2]), max_size=2).map(tuple),
+                                  _ds_monos(3))),
+}
+
+
+class TestBlockKey:
+    @pytest.mark.parametrize("name", sorted(_AMBIENT_MONOS))
+    @PROPERTY
+    @given(data=st.data())
+    def test_cross_block_products_are_empty(self, name, data):
+        # the contract phased_product relies on to skip pairs
+        amb, monos = _AMBIENT_MONOS[name]
+        a, b = data.draw(monos), data.draw(monos)
+        hash(amb.block(a))
+        if amb.block(a) != amb.block(b):
+            assert amb.mul_mono(a, b) == []
+
+    def test_keys(self):
+        assert _DS.block((5, (1, -1))) == 5
+        assert _SRC_DS.block(((1, 0), (5, (1, -1)))) == (_SRC.block((1, 0)), 5)
+        assert _FREE.block((0, 2)) == _FREE.block(())
+        assert _BLK3.block((1, 0, 0)) == _BLK3.block((0, 0, 0))
