@@ -26,6 +26,7 @@ from .freealg import (
     FreeAlgebra,
     TensorAlgebra,
     _render_key,
+    same_ambient,
     substitute,
     substitute_factors,
     tensor,
@@ -118,13 +119,33 @@ class Report:
 
 
 def star_close(relations) -> list:
-    """Close a relation list under the involution (no duplicates)."""
+    """Close a relation list under the involution: append each r* that is not
+    already in the list up to sign, in the order of ``relations``.
+
+    r* = q or r* = -q needs the same monomials on both sides, so the kept
+    relations are hashed by support and each r* is compared, coefficient by
+    coefficient, only with the relations of its own support.  Relations over
+    different algebras raise ``ValueError``.
+    """
     out = list(relations)
+    if any(not same_ambient(out[0].ambient, r.ambient) for r in out):
+        raise ValueError("elements of different ambient algebras")
+    by_support: dict = {}
+    for q in out:
+        by_support.setdefault(frozenset(q.t), []).append(q)
     for r in relations:
         rs = r.star()
-        if not any((rs - q).is_zero() or (rs + q).is_zero() for q in out):
+        bucket = by_support.setdefault(frozenset(rs.t), [])
+        if not any(_equal_up_to_sign(rs.t, q.t) for q in bucket):
             out.append(rs)
+            bucket.append(rs)
     return out
+
+
+def _equal_up_to_sign(a: dict, b: dict) -> bool:
+    """Whether two term dicts over the same monomials agree, or agree after
+    negating one of them."""
+    return all(c == b[m] for m, c in a.items()) or all(c == -b[m] for m, c in a.items())
 
 
 @dataclass

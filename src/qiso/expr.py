@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .freealg import Element, tensor
+from .freealg import Element, same_ambient, tensor
 from .scalars import Scalar, ThetaLin
 
 Frac = Fraction
@@ -121,6 +121,7 @@ class _Parser:
         while self.peek() in (("SYM", "+"), ("SYM", "-")):
             _, op = self.take()
             term = self.parse_tensterm()
+            _check_combinable(acc, term)
             acc = acc + (-term if op == "-" else term)
         return acc
 
@@ -151,7 +152,11 @@ class _Parser:
                 continue
             if k in ("IDENT", "INT") or (k == "SYM" and v == "("):
                 f = self.parse_factor()
-                acc = f if acc is None else acc * f
+                if acc is None:
+                    acc = f
+                else:
+                    _check_combinable(acc, f)
+                    acc = acc * f
             else:
                 break
         if acc is None:
@@ -257,9 +262,18 @@ def _power(x, p: int):
     return x**p
 
 
+def _check_combinable(x, y):
+    """Two elements can be added or multiplied only over one algebra, so a
+    tensor term does not combine with a plain one."""
+    if isinstance(x, Element) and isinstance(y, Element) and not same_ambient(x.ambient, y.ambient):
+        raise ParseError("cannot combine terms over different algebras")
+
+
 def _as_element(x, alg) -> Element:
     if isinstance(x, Scalar):
         return Element.unit(alg) * x
+    if not same_ambient(x.ambient, alg):  # a nested tensor, or a factor out of place
+        raise ParseError("a tensor factor does not lie in the algebra of its position")
     return x
 
 

@@ -46,6 +46,14 @@ def _sections(text: str) -> dict:
     return out
 
 
+def _on_line(lineno: int, parse, *args):
+    """``parse(*args)``, with the line number put in front of a ParseError."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
+
+
 def loads(text: str, theta: Fraction | None = None, name: str = "") -> CQGPresentation:
     secs = _sections(text)
     names, selfadjoint = [], set()
@@ -66,17 +74,21 @@ def loads(text: str, theta: Fraction | None = None, name: str = "") -> CQGPresen
             key, rhs = (s.strip() for s in line.split(":", 1))
             if key not in alg.index:
                 raise ParseError(f"line {lineno}: unknown generator {key!r}")
-            table[key] = parser(rhs)
+            table[key] = _on_line(lineno, parser, rhs)
         return table or None
 
     relations = [
-        parse_element(line, alg, theta) for _lineno, line in secs.get("relations", [])
+        _on_line(lineno, parse_element, line, alg, theta)
+        for lineno, line in secs.get("relations", [])
     ]
     coproduct = keyed("coproduct", lambda s: parse_element(s, [alg, alg], theta))
     antipode = keyed("antipode", lambda s: parse_element(s, alg, theta))
 
     def rational(s: str) -> Scalar:
-        return Scalar.rational(Fraction(s))
+        try:
+            return Scalar.rational(Fraction(s))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(f"bad counit value {s!r}") from None
 
     counit = keyed("counit", rational)
     return CQGPresentation(

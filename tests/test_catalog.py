@@ -51,6 +51,15 @@ class TestBuilders:
         with pytest.raises(KeyError):
             build("nope")
 
+    @pytest.mark.parametrize("theta, count", [
+        (None, 182), (Fraction(1, 3), 182), (Fraction(-1, 3), 182), (Fraction(7, 5), 182),
+        (Fraction(0), 166), (Fraction(1, 2), 166), (Fraction(1), 166),
+    ])
+    def test_torus_b_presentation_size_over_the_theta_sweep(self, theta, count):
+        # at e(t) = e(-t) some adjoint relations coincide with relations up
+        # to sign, and the star closure keeps one of each
+        assert len(build("torus", theta).b_presentation.relations) == count
+
 
 class TestTorusHelpers:
     def test_torus_block_phase(self):

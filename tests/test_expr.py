@@ -62,3 +62,8 @@ class TestParse:
 
         got = parse("U (x) P", [alg, other])
         assert (got - tensor(alg.gen("U"), other.gen("P"))).is_zero()
+
+    @pytest.mark.parametrize("text", ["P (x) U", "(U (x) P) (x) P"])
+    def test_tensor_factor_out_of_its_algebra(self, alg, text):
+        with pytest.raises(ParseError, match="algebra of its position"):
+            parse_element(text, [alg, FreeAlgebra(["P"])])

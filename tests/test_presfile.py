@@ -1,7 +1,12 @@
+import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from qiso.expr import ParseError
 from qiso.freealg import Element
 from qiso.presfile import load_data, loads
 from qiso.scalars import Scalar, ThetaLin
@@ -83,3 +88,62 @@ class TestLoadData:
         P = load_data(resource)
         assert len(P.algebra.names) == ngens
         assert len(P.relations) == nrels
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("value, message", [
+        ("1A", "line 4: bad counit value '1A'"),
+        ("11/0", "line 4: bad counit value '11/0'"),
+    ])
+    def test_bad_counit_names_its_line(self, value, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            loads(f"[generators]\nA\n[counit]\nA : {value}\n")
+
+    @pytest.mark.parametrize("section, line", [
+        ("coproduct", "A : A (x) A + A"),
+        ("coproduct", "A : A - A (x) A"),
+        ("coproduct", "A : (A (x) A) A"),
+        ("coproduct", "A : (A (x) A) (x) A"),
+        ("antipode", "A : A (x) A"),
+        ("relations", "A (x) A"),
+    ])
+    def test_mixed_tensor_ranks_name_their_line(self, section, line):
+        with pytest.raises(ParseError, match="^line 4: "):
+            loads(f"[generators]\nA\n[{section}]\n{line}\n")
+
+
+_RESOURCES = sorted(f.name for f in resources.files("qiso.data").iterdir() if f.name.endswith(".pres"))
+_SNIPPETS = [
+    "[generators]", "[relations]", "[coproduct]", "[counit]", "[antipode]", "[other]",
+    "\n[relations]\n", "\n[coproduct]\n", "\n[counit]\n", "\n[antipode]\n",
+    "\n", " ", ":", "#", " (x) ", "+", "-", "*", "'", "^",
+    "/", "(", ")", "e(", "t", "0", "1", "2", "1A", "11/0", "selfadjoint", "U", "P", "A1", "Q11",
+]
+_edits = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "replace"]),
+              st.floats(0, 1), st.integers(1, 8), st.sampled_from(_SNIPPETS)),
+    min_size=1, max_size=3)
+
+
+def _apply(text, edits):
+    for kind, where, length, snippet in edits:
+        i = int(where * len(text))
+        if kind == "insert":
+            length = 0
+        elif kind == "delete":
+            snippet = ""
+        text = text[:i] + snippet + text[i + length:]
+    return text
+
+
+class TestFuzzedInput:
+    @settings(deadline=None, max_examples=1000, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.sampled_from(_RESOURCES), _edits)
+    def test_only_parse_errors_escape(self, resource, edits):
+        text = _apply(resources.files("qiso.data").joinpath(resource).read_text(encoding="utf-8"), edits)
+        # a large power of a sum takes long to expand, and is not what is tested
+        assume(all(int(k) <= 3 for k in re.findall(r"\^\s*-?\s*(\d+)", text)))
+        try:
+            loads(text)
+        except ParseError:
+            pass
