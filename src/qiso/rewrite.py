@@ -13,19 +13,21 @@ returned.  A nonzero normal form only ever yields UNDECIDED (the cap may be
 too small), never a NO.
 
 Completion pays only for the rules it keeps.  Each S-element carries a
-function that builds its certificate; the element is first reduced without
-tracking, and only one that survives reduction (most reduce to zero) is
-reduced again with tracking and has its certificate built.  Rules are never
-changed once made, so the deferred certificates equal eager ones.
+function that builds its certificate.  The element is reduced once, and its
+reduction steps are kept; only an element that survives (most reduce to
+zero) has its certificate built, from that function and those steps.  Rules
+are never changed once made, so the deferred certificates equal eager ones.
+A pair of monomial rules (both rhs zero) only gives zero and is never formed.
 ``RuleSet.skipped`` counts the overlaps dropped at the cap; ``capped`` is
 ``skipped > 0``.
 
 Rules are found by word lookup, not by scanning.  Each new lhs is the lead
 of an element reduced by every earlier rule, so lhs words are unique.  A
 reduction step probes the subwords at each lhs length; at the leftmost match
-the earliest rule wins (an older lhs may contain a newer one).  The partners
-of a new rule in an ambiguity are looked up in dicts from the proper
-prefixes, suffixes and subwords of each lhs, and visited in rule order.
+the earliest rule wins (an older lhs may contain a newer one).  The
+ambiguities of a new rule are read straight from dicts from the proper
+prefixes, suffixes and subwords of each lhs, with the overlap length or
+inclusion position, and resolved in rule order.
 """
 
 from __future__ import annotations
@@ -96,18 +98,34 @@ class RuleSet:
             self._subwords.setdefault(sub, []).append(j)
         return j
 
-    def _partners(self, j: int):
-        """Positions of the rules that can form an ambiguity with rule j:
-        those for (rule j, other) and those for (other, rule j).  No other
-        lhs lies inside lhs(j), which every earlier rule has reduced."""
-        lhs, n = self.rules[j].lhs, len(self.rules[j].lhs)
-        first, second = {j}, set(self._subwords.get(lhs, ()))
+    def _resolve(self, j: int):
+        """The ambiguities of rule j whose S-element can be nonzero, as sorted
+        events (p, kind, k): kind 0 overlaps (rule j, rule p) and kind 1
+        overlaps (rule p, rule j) in k letters, kind 2 includes lhs(j) in
+        lhs(p) at position k.  No other lhs lies inside lhs(j), which every
+        earlier rule has reduced.  Overlaps above the cap are only counted, and
+        a pair of monomial rules (both rhs zero) only gives zero."""
+        rules, cap = self.rules, self.cap
+        lhs, mono = rules[j].lhs, not rules[j].rhs.t
+        n = len(lhs)
+        events = []
         for k in range(1, n):
-            # a proper suffix of lhs starts the other lhs, or a proper prefix ends it
-            first.update(self._prefixes.get(lhs[n - k :], ()))
-            second.update(self._suffixes.get(lhs[:k], ()))
-        second.discard(j)
-        return first, second
+            # a proper suffix of lhs(j) starts lhs(p), or a proper prefix ends it
+            for kind, ps in ((0, self._prefixes.get(lhs[n - k :], ())),
+                             (1, self._suffixes.get(lhs[:k], ()))):
+                for p in ps:
+                    if kind and p == j:
+                        continue
+                    if len(rules[p].lhs) > cap - n + k:
+                        self.skipped += 1
+                    elif not (mono and not rules[p].rhs.t):
+                        events.append((p, kind, k))
+        for p in self._subwords.get(lhs, ()):
+            if not (mono and not rules[p].rhs.t):
+                lp = rules[p].lhs
+                events.extend((p, 2, i) for i in range(len(lp) - n + 1) if lp[i : i + n] == lhs)
+        events.sort()
+        return events
 
     def _complete(self):
         alg = self.algebra
@@ -129,13 +147,10 @@ class RuleSet:
 
         while queue:
             _, _, elem, build = heapq.heappop(queue)
-            # most S-elements reduce to zero: test that without a certificate
-            if self._reduce(elem, None)[0].is_zero():
+            # most S-elements reduce to zero; only a survivor gets a certificate
+            elem, steps = self._reduce(elem)
+            if elem.is_zero():
                 continue
-            # build() represents elem itself; _reduce appends entries for the
-            # removed part, so the reduced element is that minus the delta
-            elem, delta = self._reduce(elem, [])
-            rep = build() + [(-s, u, k, v) for s, u, k, v in delta]
             lead = max(elem.t, key=alg.order_key)
             c = elem.t[lead]
             if not c.is_unit():
@@ -145,58 +160,31 @@ class RuleSet:
             if not lead:
                 raise UnitIdeal(f"the relations generate the unit ideal: {elem.render()} = 0")
             ci = c.inv()
-            rhs = -(elem - Element(alg, {lead: c})) * ci
+            rhs = Element(alg)
+            rhs.t = {m: x * -ci for m, x in elem.t.items() if m != lead}
+            # build() represents the popped element; the steps represent the
+            # part reduction removed, so the survivor is their difference
+            rep = build() + [(-s, u, k, v) for s, u, k, v in self._expand(steps)]
             rule = Rule(lead, rhs, [(ci * s, u, k, v) for s, u, k, v in rep])
-            # resolve ambiguities against every rule (itself included) that
-            # shares an overlap or inclusion with it, in rule order
-            first, second = self._partners(self._add_rule(rule))
-            for p in sorted(first | second):
+            n = len(lead)
+            for p, kind, k in self._resolve(self._add_rule(rule)):
                 other = self.rules[p]
-                if p in first:
-                    for elem2, build2 in self._ambiguities(rule, other):
-                        push(elem2, build2)
-                if p in second:
-                    for elem2, build2 in self._ambiguities(other, rule):
-                        push(elem2, build2)
+                lp = other.lhs
+                if kind == 0:  # lead.y == x.lp
+                    push(*self._s_element(rule, lp[k:], other, lead[: n - k], ()))
+                elif kind == 1:  # lp.y == x.lead
+                    push(*self._s_element(other, lead[k:], rule, lp[: len(lp) - k], ()))
+                else:  # lp == x.lead.y
+                    push(*self._s_element(other, (), rule, lp[:k], lp[k + n :]))
 
-    def _ambiguities(self, r1: Rule, r2: Rule):
-        """S-elements from overlaps (suffix of r1.lhs = prefix of r2.lhs) and
-        inclusions (r2.lhs inside r1.lhs), each with a zero-argument function
-        that builds its certificate."""
-        alg = self.algebra
-        l1, l2 = r1.lhs, r2.lhs
-        out = []
-
-        def s_overlap(x, y):
-            # word l1 + y == x + l2:  r1 gives rhs1.y, r2 gives x.rhs2
-            d = _difference(alg, ((m + y, c) for m, c in r1.rhs.t.items()),
-                            ((x + m, c) for m, c in r2.rhs.t.items()))
-            return d, lambda: [(-s, u, k, v + y) for s, u, k, v in r1.rep] + [
-                (s, x + u, k, v) for s, u, k, v in r2.rep
-            ]
-
-        def s_inclusion(x, y):
-            # word l1 == x + l2 + y:  r1 gives rhs1, r2 gives x.rhs2.y
-            d = _difference(alg, r1.rhs.t.items(), ((x + m + y, c) for m, c in r2.rhs.t.items()))
-            return d, lambda: [(-s, u, k, v) for s, u, k, v in r1.rep] + [
-                (s, x + u, k, v + y) for s, u, k, v in r2.rep
-            ]
-
-        # proper overlaps: l1 = x + o, l2 = o + y with 0 < len(o) < min lens
-        for olen in range(1, min(len(l1), len(l2))):
-            if l1[len(l1) - olen :] == l2[:olen]:
-                x = l1[: len(l1) - olen]
-                y = l2[olen:]
-                if len(l1) + len(y) <= self.cap:
-                    out.append(s_overlap(x, y))
-                else:
-                    self.skipped += 1
-        # inclusions: l2 occurs inside l1 (lhs words are unique)
-        if len(l2) < len(l1):
-            for i in range(len(l1) - len(l2) + 1):
-                if l1[i : i + len(l2)] == l2:
-                    out.append(s_inclusion(l1[:i], l1[i + len(l2) :]))
-        return out
+    def _s_element(self, r1: Rule, y1, r2: Rule, x2, y2):
+        """The S-element of the word lhs1.y1 == x2.lhs2.y2, rhs1.y1 - x2.rhs2.y2,
+        with a zero-argument function that builds its certificate."""
+        d = _difference(self.algebra, ((m + y1, c) for m, c in r1.rhs.t.items()),
+                        ((x2 + m + y2, c) for m, c in r2.rhs.t.items()))
+        return d, lambda: [(-s, u, k, v + y1) for s, u, k, v in r1.rep] + [
+            (s, x2 + u, k, v + y2) for s, u, k, v in r2.rep
+        ]
 
     # -- reduction -----------------------------------------------------------
     def _find(self, w):
@@ -214,12 +202,13 @@ class RuleSet:
                 return i, self.rules[best]
         return None
 
-    def _reduce(self, elem: Element, rep):
-        """Fully reduce an element; extends rep so that
-        original = reduced + sum(rep applied to relations)."""
+    def _reduce(self, elem: Element):
+        """Fully reduce an element, leftmost match first.  Returns the reduced
+        element and the steps (c, u, rule, v), with
+        original = reduced + sum(c * u.(lhs - rhs).v)."""
         work = list(elem.t.items())
         done = Element.zero(self.algebra)
-        rep = list(rep) if rep is not None else None
+        steps = []
         while work:
             w, c = work.pop()
             hit = self._find(w)
@@ -228,10 +217,16 @@ class RuleSet:
                 continue
             i, rule = hit
             u, v = w[:i], w[i + len(rule.lhs) :]
-            if rep is not None:
-                rep.extend((c * s, u + ru, k, rv + v) for s, ru, k, rv in rule.rep)
+            steps.append((c, u, rule, v))
             work.extend((u + m + v, rc * c) for m, rc in rule.rhs.t.items())
-        return done, rep
+        return done, steps
+
+    @staticmethod
+    def _expand(steps):
+        """The certificate of reduction steps, over the input relations."""
+        return [
+            (c * s, u + ru, k, rv + v) for c, u, rule, v in steps for s, ru, k, rv in rule.rep
+        ]
 
     # -- public API -------------------------------------------------------------
     def normal_form(self, elem: Element, with_cert=False):
@@ -239,9 +234,9 @@ class RuleSet:
             raise DegreeOverflow(
                 f"degree {elem.deg()} input exceeds rewriting cap {self.cap}"
             )
-        nf, rep = self._reduce(elem, [] if with_cert else None)
+        nf, steps = self._reduce(elem)
         if with_cert:
-            return nf, rep
+            return nf, self._expand(steps)
         return nf
 
 

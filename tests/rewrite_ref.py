@@ -2,17 +2,18 @@
 
 ``tests/test_rewrite_ref.py`` checks :class:`qiso.rewrite.RuleSet` against
 this class.  Do not edit it to match the package: it is the fixed point the
-deferred certificates, the indexed rule lookup and the ambiguity partners are
-checked against.
+deferred certificates, the indexed rule lookup and the ambiguities read from
+the overlap index are checked against.
 
-It freezes ``RuleSet._complete`` and ``RuleSet._ambiguities`` as they were
+It freezes ``_complete`` and ``_ambiguities`` as ``RuleSet`` had them
 before certificates were deferred: every popped S-element is reduced with
 its certificate tracked, and every ordered pair of rules is scanned.  The one
 addition is the ``skipped`` counter in place of the old ``capped = True``.
 Reduction (``_add_rule``, ``_find``, ``_reduce`` and ``_mul_word``) is frozen
 as the scan over per-letter buckets of rules, each step building its
-replacement as intermediate ``Element``s.  Only the constructor and the
-public API (``normal_form``, ``capped``) are shared with the package.
+replacement as intermediate ``Element``s, and ``normal_form`` as the call of
+that ``_reduce`` with its certificate tracked or not.  Only the constructor
+and ``capped`` are shared with the package.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ class RefRuleSet(RuleSet):
                 rep.extend((c * s, u + ru, k, rv + v) for s, ru, k, rv in rule.rep)
             work.extend(repl.t.items())
         return done, rep
+
+    def normal_form(self, elem: Element, with_cert=False):
+        if elem.deg() > self.cap:
+            raise DegreeOverflow(
+                f"degree {elem.deg()} input exceeds rewriting cap {self.cap}"
+            )
+        nf, rep = self._reduce(elem, [] if with_cert else None)
+        if with_cert:
+            return nf, rep
+        return nf
 
     def _complete(self):
         alg = self.algebra

@@ -2,9 +2,11 @@
 
 ``rewrite_ref.RefRuleSet`` builds every certificate eagerly, scans every
 ordered pair of rules, and finds rules by scanning per-letter buckets.
-:class:`qiso.rewrite.RuleSet` defers certificates to the S-elements that
-survive reduction, looks up rules and ambiguity partners by word, and builds
-no intermediate elements.  Both must give the same system: the same rules in
+:class:`qiso.rewrite.RuleSet` reduces each S-element once and builds a
+certificate only for a survivor, reads the ambiguities of a new rule from
+its prefix, suffix and subword dicts, never forms the (zero) S-element of
+two monomial rules, looks up rules by word, and builds no intermediate
+elements.  Both must give the same system: the same rules in
 the same order, the same right-hand sides, the same rendered certificates and
 the same count of ambiguities skipped at the cap, and the same normal forms
 and certificates for seeded words.  Every rule's certificate must also
@@ -54,6 +56,7 @@ def _prefix_lhs():
 SYSTEMS = {
     "torus-b-cap3-generic": lambda: _torus_b(None, 3),
     "torus-b-cap3-third": lambda: _torus_b(Fraction(1, 3), 3),
+    "torus-b-cap4-generic": lambda: _torus_b(None, 4),
     "sphere-pres-cap4": _sphere_pres,
     "circle-membership": lambda: _membership("circle"),
     "sphere-membership": lambda: _membership("sphere"),
@@ -130,6 +133,13 @@ def test_skipped_counts_overlaps_above_cap(completed):
     assert new.skipped == 0 and new.capped is False
 
 
+def test_torus_b_cap4_size(completed):
+    # the system the rewrite benchmark completes: 396 of its rules are monomial
+    new, _ = completed("torus-b-cap4-generic")
+    assert (len(new.rules), new.skipped, new.capped) == (516, 7845, True)
+    assert sum(not r.rhs.t for r in new.rules) == 396
+
+
 # -- random relation sets ------------------------------------------------------
 
 _LAM = Scalar.exponential(ThetaLin(0, 1))
@@ -167,6 +177,20 @@ def relation_sets(draw):
     return alg, rels, cap
 
 
+@st.composite
+def monomial_mixed_sets(draw):
+    """A set from ``relation_sets`` with one to four single-word relations
+    put in at drawn places, so that completion meets pairs of monomial rules
+    (whose S-elements are zero) beside pairs with one monomial rule."""
+    alg, rels, cap = draw(relation_sets())
+    letters = st.integers(0, 2 * len(alg.names) - 1)
+    for _ in range(draw(st.integers(1, 4))):
+        word = tuple(draw(st.lists(letters, min_size=1, max_size=cap)))
+        mono = Element(alg, {word: draw(st.sampled_from(COEFFS[:-1]))})
+        rels.insert(draw(st.integers(0, len(rels))), mono)
+    return alg, rels, cap
+
+
 def _outcome(cls, alg, rels, cap):
     try:
         return "ok", cls(alg, rels, cap)
@@ -174,9 +198,7 @@ def _outcome(cls, alg, rels, cap):
         return "raised", (type(exc), str(exc))
 
 
-@settings(deadline=None, max_examples=150)
-@given(relation_sets())
-def test_random_relation_sets(system):
+def _assert_same_outcome(system):
     kind, new = _outcome(RuleSet, *system)
     ref_kind, ref = _outcome(RefRuleSet, *system)
     assert kind == ref_kind
@@ -190,3 +212,15 @@ def test_random_relation_sets(system):
         return
     assert signature(new) == signature(ref)
     assert_sound(new)
+
+
+@settings(deadline=None, max_examples=150)
+@given(relation_sets())
+def test_random_relation_sets(system):
+    _assert_same_outcome(system)
+
+
+@settings(deadline=None, max_examples=150)
+@given(monomial_mixed_sets())
+def test_random_sets_with_monomial_relations(system):
+    _assert_same_outcome(system)
