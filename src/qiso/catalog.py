@@ -40,7 +40,7 @@ from .cqg import (
     solve_haar_weights,
     star_close,
 )
-from .expr import ParseError, parse_element
+from .expr import ParseError, parse_element, tokenize
 from .freealg import Element, FreeAlgebra, same_ambient, substitute, substitute_factors, tensor
 from .graded import (
     SIGMA,
@@ -87,10 +87,11 @@ class Scenario:
         return report
 
     def parse(self, text: str) -> Element:
+        toks = tokenize(text)
         last_err = None
         for alg in self.parse_algebras:
             try:
-                return parse_element(text, alg, self.theta)
+                return parse_element(toks, alg, self.theta)
             except ParseError as exc:  # try the next algebra
                 last_err = exc
         raise last_err
@@ -142,6 +143,7 @@ def _compare_sets(report, name, mode, extract, expected):
 
 def build_circle_scenario() -> Scenario:
     sc = Scenario("circle")
+    sc.constants["theta"] = "theta-independent"
     derived = load_data("circle_derived.pres")
     qa = derived.algebra  # generators A, B
     A, B = qa.gen("A"), qa.gen("B")
@@ -333,6 +335,7 @@ def sphere_harmonics_check(samples: dict) -> tuple:
 
 def build_sphere_scenario() -> Scenario:
     sc = Scenario("sphere")
+    sc.constants["theta"] = "theta-independent"
     golden = load_data("sphere.pres")
     qa = golden.algebra
 

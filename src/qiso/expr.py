@@ -28,9 +28,12 @@ class ParseError(ValueError):
 # -- tokenizer ---------------------------------------------------------------
 
 _SYMBOLS = "+-*^/()'"
+_DIGITS = "0123456789"  # not str.isdigit, which also takes '²' and other scripts' digits
 
 
-def _tokenize(text: str):
+def tokenize(text: str) -> list:
+    """The tokens of an expression; :func:`parse` takes them in place of the
+    text, so that a text tried over several algebras is read once."""
     toks = []  # (kind, value); kinds: IDENT INT SYM ADJ TENSOR
     i = 0
     n = len(text)
@@ -53,9 +56,9 @@ def _tokenize(text: str):
             prev_end = j
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(("INT", int(text[i:j])))
             prev_end = j
@@ -150,18 +153,58 @@ class _Parser:
             if k == "SYM" and v == "*":
                 self.take()
                 continue
-            if k in ("IDENT", "INT") or (k == "SYM" and v == "("):
+            if k == "IDENT" and not self._at_call():
+                f = self.parse_word()
+            elif k in ("IDENT", "INT") or (k == "SYM" and v == "("):
                 f = self.parse_factor()
-                if acc is None:
-                    acc = f
-                else:
-                    _check_combinable(acc, f)
-                    acc = acc * f
             else:
                 break
+            if acc is None:
+                acc = f
+            else:
+                _check_combinable(acc, f)
+                acc = acc * f
         if acc is None:
             raise ParseError(f"empty product near token {self.peek()!r}")
         return acc
+
+    def _at_call(self):
+        """Whether the next tokens are ``e(``, a scalar and not a generator."""
+        return self.toks[self.pos : self.pos + 2] == [("IDENT", "e"), ("SYM", "(")]
+
+    def parse_word(self):
+        """A run of generator factors over one algebra, each with its adjoint
+        marks and powers, as one word: a monomial with coefficient 1 (the
+        adjoint of a free word has coefficient 1)."""
+        alg, word = None, ()
+        while True:
+            k, v = self.peek()
+            if k == "SYM" and v == "*":
+                self.take()
+                continue
+            if k != "IDENT" or self._at_call():
+                return Element(alg, {word: Scalar.one()})
+            self.take()
+            f_alg = self._algebra_of(v)
+            w = (f_alg.letter(v),)
+            while True:
+                k, v = self.peek()
+                if k == "ADJ":
+                    self.take()
+                    w = f_alg.star_mono(w)[1]
+                elif k == "SYM" and v == "^":
+                    self.take()
+                    p = self.parse_power()
+                    if p < 0:  # a negative power is a power of the adjoint
+                        w, p = f_alg.star_mono(w)[1], -p
+                    w = w * p
+                else:
+                    break
+            if alg is None:
+                alg = f_alg
+            elif f_alg is not alg and not same_ambient(alg, f_alg):
+                raise ParseError("cannot combine terms over different algebras")
+            word += w
 
     def parse_factor(self):
         a = self.parse_atom()
@@ -172,29 +215,33 @@ class _Parser:
                 a = _star(a)
             elif k == "SYM" and v == "^":
                 self.take()
-                sign = 1
-                if self.peek() == ("SYM", "-"):
-                    self.take()
-                    sign = -1
-                p = self.expect("INT") * sign
-                a = _power(a, p)
+                a = _power(a, self.parse_power())
             else:
                 return a
+
+    # power := ['-'] INT, after '^'
+    def parse_power(self) -> int:
+        sign = 1
+        if self.peek() == ("SYM", "-"):
+            self.take()
+            sign = -1
+        return self.expect("INT") * sign
+
+    def _algebra_of(self, name):
+        for alg in self.algebras:
+            if name in alg.index:
+                return alg
+        raise ParseError(f"unknown generator {name!r}")
 
     def parse_atom(self):
         k, v = self.take()
         if k == "INT":
             return Scalar.rational(self.parse_ratio(v))
-        if k == "IDENT":
-            if v == "e" and self.peek() == ("SYM", "("):
-                self.take()
-                lin = self.parse_exponent()
-                self.expect("SYM", ")")
-                return self._exp_scalar(lin)
-            for alg in self.algebras:
-                if v in alg.index:
-                    return alg.gen(v)
-            raise ParseError(f"unknown generator {v!r}")
+        if k == "IDENT":  # only e(...): generators are read by parse_word
+            self.take()
+            lin = self.parse_exponent()
+            self.expect("SYM", ")")
+            return self._exp_scalar(lin)
         if k == "SYM" and v == "(":
             e = self.parse_expr()
             self.expect("SYM", ")")
@@ -277,24 +324,25 @@ def _as_element(x, alg) -> Element:
     return x
 
 
-def parse(text: str, algebras, theta: Fraction | None = None):
+def parse(text: str | list, algebras, theta: Fraction | None = None):
     """Parse an expression over one or more algebras.
 
-    ``algebras`` is a single free algebra or a list (tensor factors, in
-    order).  With ``theta`` set, occurrences of the formal parameter inside
-    e(..) are specialised to the given rational.  Returns an Element, or a
-    Scalar for purely scalar expressions.
+    ``text`` is the expression or its :func:`tokenize` list.  ``algebras``
+    is a single free algebra or a list (tensor factors, in order).  With
+    ``theta`` set, occurrences of the formal parameter inside e(..) are
+    specialised to the given rational.  Returns an Element, or a Scalar for
+    purely scalar expressions.
     """
     if not isinstance(algebras, (list, tuple)):
         algebras = [algebras]
-    p = _Parser(_tokenize(text), list(algebras), theta)
+    p = _Parser(tokenize(text) if isinstance(text, str) else text, list(algebras), theta)
     out = p.parse_expr()
     if p.pos != len(p.toks):
         raise ParseError(f"trailing input at token {p.peek()!r}")
     return out
 
 
-def parse_element(text: str, algebras, theta: Fraction | None = None) -> Element:
+def parse_element(text: str | list, algebras, theta: Fraction | None = None) -> Element:
     out = parse(text, algebras, theta)
     if isinstance(out, Scalar):
         algs = algebras if isinstance(algebras, (list, tuple)) else [algebras]

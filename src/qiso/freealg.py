@@ -41,6 +41,7 @@ class FreeAlgebra:
         self.names = list(names)
         self.selfadjoint = set(selfadjoint)
         self.index = {n: i for i, n in enumerate(self.names)}
+        self._letter_names = [n + st for n in self.names for st in ("", "*")]
 
     # -- monomial interface --------------------------------------------------
     def one_terms(self):
@@ -68,7 +69,7 @@ class FreeAlgebra:
     def render_mono(self, w):
         if not w:
             return "1"
-        return " ".join(self.letter_name(let) for let in w)
+        return " ".join([self._letter_names[let] for let in w])
 
     # -- helpers ---------------------------------------------------------------
     def letter(self, name, star=False):
@@ -78,8 +79,7 @@ class FreeAlgebra:
         return 2 * gi + (1 if star else 0)
 
     def letter_name(self, let):
-        gi, st = divmod(let, 2)
-        return self.names[gi] + ("*" if st else "")
+        return self._letter_names[let]
 
     def gen(self, name, star=False) -> "Element":
         return Element(self, {(self.letter(name, star),): Scalar.one()})

@@ -279,11 +279,20 @@ def ideal_member(p: Element, rules: RuleSet) -> Membership:
 
 def verify_certificate(p: Element, relations, cert) -> bool:
     """Re-expand sum c*u*r*v and compare with p (ValueError if a relation
-    the certificate uses lives in another algebra than p)."""
+    the certificate uses lives in another algebra than p).
+
+    Entries with one (u, k, v) are summed first, and only the nonzero sums
+    are re-expanded: the same sum, with each distinct term expanded once."""
     if not all(same_ambient(p.ambient, relations[k].ambient) for k in {e[2] for e in cert}):
         raise ValueError("certificate relation and element live in different algebras")
-    acc = Element.zero(p.ambient)
+    merged: dict = {}
     for c, u, k, v in cert:
+        key = (u, k, v)
+        merged[key] = merged[key] + c if key in merged else c
+    acc = Element.zero(p.ambient)
+    for (u, k, v), c in merged.items():
+        if c.is_zero():
+            continue
         for m, rc in relations[k].t.items():
             acc._add_term(u + m + v, rc * c)
     return (acc - p).is_zero()

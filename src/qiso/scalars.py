@@ -714,10 +714,11 @@ class Scalar:
                 parts.append(ph)
             elif cs == "-1":
                 parts.append(f"-{ph}")
-            elif " + " in cs or " - " in cs:
-                parts.append(f"({cs})*{ph}")
             else:
-                parts.append(f"{cs}*{ph}")
+                if " + " in cs or " - " in cs:
+                    cs = f"({cs})"
+                # a '*' attached to ')' reads as an adjoint in qiso.expr
+                parts.append(f"{cs} * {ph}" if cs.endswith(")") else f"{cs}*{ph}")
         return join_signed(parts)
 
     def __repr__(self):

@@ -2,7 +2,9 @@
 
 ``tests/test_scalars_diff.py`` compares :mod:`qiso.scalars` against this
 module on random inputs.  Do not edit it to match the package: it is the
-fixed point the fast paths are checked against.
+fixed point the fast paths are checked against.  (Its ``Scalar.render``
+follows the output format, which changed once: a constant ending in ')' is
+now spaced from its phase, 'e(1/3) * e(t)', so that the text parses back.)
 
 Exact scalar arithmetic for the verification kernel.
 
@@ -547,10 +549,11 @@ class Scalar:
                 parts.append(ph)
             elif cs == "-1":
                 parts.append(f"-{ph}")
-            elif " + " in cs or " - " in cs:
-                parts.append(f"({cs})*{ph}")
             else:
-                parts.append(f"{cs}*{ph}")
+                if " + " in cs or " - " in cs:
+                    cs = f"({cs})"
+                # a '*' attached to ')' reads as an adjoint in qiso.expr
+                parts.append(f"{cs} * {ph}" if cs.endswith(")") else f"{cs}*{ph}")
         return join_signed(parts)
 
     def __repr__(self):

@@ -88,6 +88,7 @@ class TestZeroDenominator:
         ["nf", "torus", "e(1/0) U"],
         ["nf", "torus", "0^-1 U"],
         ["member", "torus", "1/0"],
+        ["nf", "torus", "U ²"],  # not an integer: str.isdigit is not the test
     ])
     def test_usage_error_without_traceback(self, capsys, argv):
         assert main(argv) == 3
@@ -110,6 +111,13 @@ class TestVerify:
         assert payload[0]["constants"]["sigma"] == -1
         assert payload[0]["counts"]["FAIL"] == 0
         assert any(c["status"] == "SKIPPED" for c in payload[0]["checks"])
+
+    @pytest.mark.parametrize("name", ["circle", "sphere"])
+    def test_theta_independent_label(self, tmp_path, capsys, name):
+        out = tmp_path / "report.json"
+        main(["verify", name, "--quiet", "--theta", "1/3", "--json", str(out)])
+        assert "[theta=theta-independent]" in capsys.readouterr().out
+        assert json.loads(out.read_text())[0]["constants"]["theta"] == "theta-independent"
 
     def test_bad_theta_rejected(self):
         with pytest.raises(SystemExit) as exc:

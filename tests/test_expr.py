@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qiso.expr import ParseError, parse_element
 from qiso.freealg import Element, FreeAlgebra, tensor
+from qiso.presfile import load_data
 from qiso.scalars import Scalar, ThetaLin
 
 
@@ -67,3 +70,138 @@ class TestParse:
     def test_tensor_factor_out_of_its_algebra(self, alg, text):
         with pytest.raises(ParseError, match="algebra of its position"):
             parse_element(text, [alg, FreeAlgebra(["P"])])
+
+    @pytest.mark.parametrize("text, message", [
+        ("U ²", "unexpected character '²' at position 2"),
+        ("U^٣", "unexpected character '٣' at position 2"),  # an Arabic-Indic 3
+    ])
+    def test_only_ascii_digits(self, alg, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            parse_element(text, alg)
+
+
+# -- render -> parse round trips, and generator runs against Element arithmetic
+
+_FRACS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_ROOTS = st.builds(lambda k, n: Fraction(k, n), st.integers(0, 11), st.integers(1, 12))
+
+
+@st.composite
+def _scalars(draw):
+    """A sum of one to three terms q * e(r) * e(s*t), each factor optional."""
+    out = Scalar.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        term = Scalar.rational(draw(_FRACS.filter(bool))) if draw(st.booleans()) else Scalar.one()
+        if draw(st.booleans()):
+            term = term * Scalar.root(draw(_ROOTS))
+        if draw(st.booleans()):
+            term = term * Scalar.phase(draw(_FRACS.filter(bool)))
+        out = out + term
+    return out
+
+
+_ALGEBRAS = {
+    "circle": load_data("circle.pres").algebra,  # U, and P selfadjoint
+    "sphere": load_data("sphere.pres").algebra,  # Q11 .. Q33
+    "torus": FreeAlgebra(["U", "V"]),
+    "torus-b": load_data("torus_row1.pres").algebra,  # A1 .. D2
+}
+
+
+def _letters(alg):
+    return sorted({alg.letter(n, star) for n in alg.names for star in (False, True)})
+
+
+@st.composite
+def _elements(draw, alg):
+    words = st.lists(st.sampled_from(_letters(alg)), max_size=4).map(tuple)
+    terms = draw(st.dictionaries(words, _scalars(), max_size=4))
+    return Element(alg, terms)
+
+
+class TestRoundTrip:
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    @pytest.mark.parametrize("name", sorted(_ALGEBRAS))
+    def test_render_parses_back(self, name, data):
+        alg = _ALGEBRAS[name]
+        x = data.draw(_elements(alg))
+        text = x.render()
+        got = parse_element(text, alg)
+        # the parse lists the terms as render prints them: longest word first
+        order = sorted(x.t, key=lambda w: (len(w), w), reverse=True)
+        assert list(got.t) == order, text
+        assert all(got.t[w] == x.t[w] for w in order), text
+        assert got.render() == text
+
+
+_SEPARATORS = st.sampled_from([" ", " * "])
+
+
+@st.composite
+def _factor(draw, alg):
+    """One factor of a product: its text, and its value built with Element
+    (or Scalar) arithmetic."""
+    kind = draw(st.sampled_from(["gen", "gen", "gen", "scalar", "paren"]))
+    if kind == "gen":
+        name = draw(st.sampled_from(alg.names))
+        text, value = name, alg.gen(name)
+    elif kind == "scalar":
+        q = draw(_FRACS.filter(bool))
+        text, value = draw(st.sampled_from([
+            (str(abs(q)), Scalar.rational(abs(q))),
+            (f"e({q})", Scalar.root(q)),
+            (f"e({q}*t)", Scalar.phase(q)),
+        ]))
+    else:
+        a, b = draw(st.lists(st.sampled_from(alg.names), min_size=2, max_size=2))
+        q = draw(_FRACS.filter(bool))
+        text = f"({a} - {abs(q)} {b}*)"
+        value = alg.gen(a) - alg.gen(b).star() * Scalar.rational(abs(q))
+    # adjoint marks and a power; a '*' after a number is a product
+    marks = ["'"] if text[0].isdigit() else ["*", "'"]
+    for mark in draw(st.lists(st.sampled_from(marks), max_size=2)):
+        text, value = text + mark, _adjoint(value)
+    # a sum to a power multiplies out: keep its powers small
+    power = draw(st.none() | (st.integers(-1, 2) if kind == "paren" else st.integers(-2, 3)))
+    if power is not None:
+        text += f"^{power}"
+        if power < 0 and isinstance(value, Element):  # a power of the adjoint
+            value = value.star() ** -power
+        else:
+            value = value**power
+        if draw(st.booleans()):
+            text, value = text + "'", _adjoint(value)
+    return text, value
+
+
+def _adjoint(x):
+    return x.conj() if isinstance(x, Scalar) else x.star()
+
+
+class TestGeneratorRuns:
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    @pytest.mark.parametrize("name", sorted(_ALGEBRAS))
+    def test_products_match_element_arithmetic(self, name, data):
+        alg = _ALGEBRAS[name]
+        factors = data.draw(st.lists(_factor(alg), min_size=1, max_size=5))
+        text = factors[0][0]
+        want = factors[0][1]
+        for f_text, f_value in factors[1:]:
+            text += data.draw(_SEPARATORS) + f_text
+            want = want * f_value
+        if isinstance(want, Scalar):
+            want = Element.unit(alg) * want
+        got = parse_element(text, alg)
+        assert list(got.t) == list(want.t), text
+        assert all(got.t[w] == want.t[w] for w in want.t), text
+
+    def test_runs_cross_algebras_only_when_they_are_one(self, alg):
+        twin, other = FreeAlgebra(["U", "V", "A1"]), FreeAlgebra(["P"])
+        got = parse_element("U^2 V'", [alg, twin])
+        assert list(got.t) == [(0, 0, 3)]
+        with pytest.raises(ParseError, match="^cannot combine terms over different algebras$"):
+            parse_element("U P", [alg, other])
+        with pytest.raises(ParseError, match="^unknown generator 'W'$"):
+            parse_element("U V^2 W", alg)

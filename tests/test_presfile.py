@@ -111,6 +111,10 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="^line 4: "):
             loads(f"[generators]\nA\n[{section}]\n{line}\n")
 
+    def test_non_ascii_digit_names_its_line(self):
+        with pytest.raises(ParseError, match="^line 4: unexpected character '²' at position 2$"):
+            loads("[generators]\nA\n[relations]\nA ²\n")
+
 
 _RESOURCES = sorted(f.name for f in resources.files("qiso.data").iterdir() if f.name.endswith(".pres"))
 _SNIPPETS = [

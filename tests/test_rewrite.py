@@ -146,6 +146,38 @@ class TestMembership:
         with pytest.raises(ValueError, match="different algebras"):
             verify_certificate(p, foreign, cert)
 
+    # verify_certificate sums the entries at each (u, k, v) before it
+    # re-expands them
+    def test_repeated_entry_verifies(self, torus_rules):
+        alg, rules, rels = torus_rules
+        U, V = alg.gen("U"), alg.gen("V")
+        p = U * V * U.star() - V * Scalar.exponential(ThetaLin(0, 1))
+        (c, u, k, v), *rest = ideal_member(p, rules).certificate
+        half = c * Fraction(1, 2)
+        assert verify_certificate(p, rels, [(half, u, k, v)] + rest + [(half, u, k, v)])
+
+    def test_cancelling_pair_does_not_hide_a_tampered_entry(self, torus_rules):
+        alg, rules, rels = torus_rules
+        U = alg.gen("U")
+        p = U * U * U.star() - U
+        cert = ideal_member(p, rules).certificate
+        c, u, k, v = cert[0]
+        pair = [(Scalar.one(), (), 0, ()), (-Scalar.one(), (), 0, ())]
+        assert verify_certificate(p, rels, cert + pair)
+        assert not verify_certificate(p, rels, [(c + Scalar.one(), u, k, v)] + cert[1:] + pair)
+
+    def test_cancelling_foreign_relation_is_rejected(self, torus_rules):
+        alg, rules, rels = torus_rules
+        U = alg.gen("U")
+        p = U * U.star() - Element.unit(alg)
+        cert = ideal_member(p, rules).certificate
+        uv = FreeAlgebra(["u", "v"])
+        u = uv.gen("u")
+        rels = rels + [u * u.star() - Element.unit(uv)]
+        pair = [(Scalar.one(), (), len(rels) - 1, ()), (-Scalar.one(), (), len(rels) - 1, ())]
+        with pytest.raises(ValueError, match="different algebras"):
+            verify_certificate(p, rels, cert + pair)
+
 
 def test_unit_ideal_is_a_named_error():
     # x = 1 and x = 2 give 1 = 0: every constant would be reducible, and no
