@@ -50,7 +50,7 @@ from .cqg import (
     solve_haar_weights,
 )
 from .presfile import load, load_data, loads
-from .catalog import build
+from .catalog import build, build_all
 
 __all__ = [
     "Cyclo", "Scalar", "ThetaLin",
@@ -65,7 +65,7 @@ __all__ = [
     "check_hom", "check_isometry", "check_unitary_matrix",
     "extract_relations", "hopf_quotient", "solve_counit", "solve_haar_weights",
     "load", "load_data", "loads",
-    "build",
+    "build", "build_all",
 ]
 
 __version__ = "1.0.0"

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .catalog import BUILDERS, build
+from .catalog import BUILDERS, build, build_all
 from .cqg import FAIL, PASS, SKIPPED, UNDECIDED
 from .rewrite import DegreeOverflow
 
@@ -83,8 +83,7 @@ def _run_verify(args) -> int:
     payload = []
     # keep stdout clean when the JSON report goes there
     out = sys.stderr if args.json == "-" else sys.stdout
-    for name in names:
-        sc = build(name, args.theta)
+    for name, sc in zip(names, build_all(names, args.theta)):
         report = sc.suite()
         counts = {s: 0 for s in (PASS, FAIL, UNDECIDED, SKIPPED)}
         for r in report.results:

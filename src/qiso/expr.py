@@ -22,7 +22,10 @@ Frac = Fraction
 
 
 class ParseError(ValueError):
-    pass
+    """Malformed input.  ``pos`` is the number of tokens :func:`parse` had
+    taken when it stopped (0 for an error before parsing)."""
+
+    pos = 0
 
 
 # -- tokenizer ---------------------------------------------------------------
@@ -336,9 +339,13 @@ def parse(text: str | list, algebras, theta: Fraction | None = None):
     if not isinstance(algebras, (list, tuple)):
         algebras = [algebras]
     p = _Parser(tokenize(text) if isinstance(text, str) else text, list(algebras), theta)
-    out = p.parse_expr()
-    if p.pos != len(p.toks):
-        raise ParseError(f"trailing input at token {p.peek()!r}")
+    try:
+        out = p.parse_expr()
+        if p.pos != len(p.toks):
+            raise ParseError(f"trailing input at token {p.peek()!r}")
+    except ParseError as exc:
+        exc.pos = p.pos
+        raise
     return out
 
 

@@ -78,9 +78,6 @@ class FreeAlgebra:
             star = False
         return 2 * gi + (1 if star else 0)
 
-    def letter_name(self, let):
-        return self._letter_names[let]
-
     def gen(self, name, star=False) -> "Element":
         return Element(self, {(self.letter(name, star),): Scalar.one()})
 

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 import qiso
+from qiso import catalog
 from qiso.catalog import (
     BUILDERS,
     build,
+    build_all,
     commutative_torus,
     eight_block_model,
     family_elements,
@@ -50,6 +52,30 @@ class TestBuilders:
     def test_unknown_scenario(self):
         with pytest.raises(KeyError):
             build("nope")
+
+    def test_build_returns_a_fresh_scenario(self):
+        first, second = build("torus"), build("torus")
+        assert first is not second
+        assert first.b_presentation is not second.b_presentation
+
+    @pytest.mark.parametrize("theta", [None, Fraction(1, 3)])
+    def test_build_all_builds_the_torus_once(self, monkeypatch, theta):
+        calls, original = [], catalog.build_torus_scenario
+
+        def counting(th):
+            calls.append(th)
+            return original(th)
+
+        monkeypatch.setattr(catalog, "build_torus_scenario", counting)
+        names = sorted(BUILDERS)
+        built = dict(zip(names, build_all(names, theta)))
+        assert calls == [theta]
+        torus, deformation = built["torus"], built["deformation"]
+        assert [built[n].name for n in names] == names
+        assert deformation.member_rules is torus.member_rules
+        assert deformation.haar_weights is torus.haar_weights
+        assert deformation.constants == torus.constants
+        assert deformation.constants is not torus.constants
 
     @pytest.mark.parametrize("theta, count", [
         (None, 182), (Fraction(1, 3), 182), (Fraction(-1, 3), 182), (Fraction(7, 5), 182),

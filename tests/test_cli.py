@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import qiso
+from qiso import catalog
 from qiso.cli import main
 
 
@@ -38,6 +39,16 @@ class TestNf:
         assert main(["nf", "circle", "U U U U U U U U U"]) == 3
         err = capsys.readouterr().err.strip()
         assert err == "error: degree 9 input exceeds rewriting cap 8"
+
+    @pytest.mark.parametrize("text, message", [
+        ("A1 A2^x", "error: expected INT, got 'x'"),  # read furthest over A1..D2
+        ("U V W", "error: unknown generator 'W'"),  # read furthest over U, V
+    ])
+    def test_error_of_the_algebra_read_furthest(self, capsys, text, message):
+        assert main(["nf", "torus", text]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
 
 
 class TestMember:
@@ -118,6 +129,24 @@ class TestVerify:
         main(["verify", name, "--quiet", "--theta", "1/3", "--json", str(out)])
         assert "[theta=theta-independent]" in capsys.readouterr().out
         assert json.loads(out.read_text())[0]["constants"]["theta"] == "theta-independent"
+
+    def test_all_builds_the_torus_and_solves_its_haar_system_once(self, monkeypatch, capsys):
+        builds, solves = [], []
+        build_torus, solve = catalog.build_torus_scenario, catalog.solve_haar_weights
+
+        def counting_build(theta):
+            builds.append(theta)
+            return build_torus(theta)
+
+        def counting_solve(P, **kwargs):
+            solves.append(len(P.model_ambient.blocks))
+            return solve(P, **kwargs)
+
+        monkeypatch.setattr(catalog, "build_torus_scenario", counting_build)
+        monkeypatch.setattr(catalog, "solve_haar_weights", counting_solve)
+        assert main(["verify", "all", "--quiet"]) == 0
+        assert builds == [None]
+        assert sorted(solves) == [2, 8]  # the circle's, and the torus's once
 
     def test_bad_theta_rejected(self):
         with pytest.raises(SystemExit) as exc:

@@ -10,6 +10,7 @@ import qiso
 from qiso.cqg import (
     FAIL,
     PASS,
+    UNDECIDED,
     ActionSpec,
     CQGPresentation,
     CounitSolveError,
@@ -20,13 +21,16 @@ from qiso.cqg import (
     apply_antipode_to_relation,
     canonical_set,
     check_coassoc,
+    check_counit_antipode,
     check_deformed_hom,
     check_haar_twist_invariance,
     check_hom,
     check_twist_identities,
+    check_unitary_matrix,
     extract_relations,
     hopf_quotient,
     monic,
+    residue_verdict,
     same_relation_set,
     solve_counit,
     solve_haar_weights,
@@ -36,6 +40,7 @@ from qiso.freealg import Element, FreeAlgebra, substitute, substitute_factors, t
 from qiso import catalog, graded
 from qiso.graded import BlockAlgebra, DirectSum, tau
 from qiso.presfile import load_data, loads
+from qiso.rewrite import DegreeOverflow, RuleSet
 from qiso.scalars import Scalar, ThetaLin
 
 
@@ -48,6 +53,58 @@ class TestReport:
         assert not rep.ok()
         d = rep.to_dict()
         assert d["checks"][1]["detail"] == "broken"
+
+
+class TestVerdictRule:
+    def _residues(self):
+        alg = FreeAlgebra(["x"])
+        return Element.zero(alg), alg.gen("x")
+
+    def test_zero_residues_pass_without_rendering(self):
+        zero, _x = self._residues()
+
+        def detail(*_):
+            raise AssertionError("a PASS renders no detail")
+
+        assert residue_verdict("model", [zero, zero], detail) == (PASS, "")
+        assert residue_verdict("presentation", [zero], detail, cap=3) == (PASS, "")
+
+    def test_model_fails_and_presentation_is_undecided_at_its_cap(self):
+        zero, x = self._residues()
+        render = lambda a, b: f"{a.render()}; {b.render()}"  # noqa: E731
+        assert residue_verdict("model", [zero, x], render) == (FAIL, "0; x")
+        assert residue_verdict("presentation", [zero, x], render, cap=3) == (UNDECIDED, "0; x (cap 3)")
+
+    def test_unitary_residue_names_the_cap(self):
+        alg = FreeAlgebra(["x"])
+        x, one = alg.gen("x"), Element.unit(alg)
+        # only x x* = 1 is known, so x* x - 1 stays a nonzero normal form
+        rep = check_unitary_matrix([[x]], rules=lambda: RuleSet(alg, [x * x.star() - one], cap=2))
+        (row,) = rep.results
+        assert (row.status, row.detail) == (UNDECIDED, "MM*[00]: 0; M*M[00]: x* x - 1 (cap 2)")
+
+
+class TestSmallCap:
+    """A cap too small for a presentation check leaves it UNDECIDED, naming
+    the cap; it is never a FAIL and never an error."""
+
+    @pytest.mark.parametrize("check, cap, names", [
+        (check_coassoc, 2, ["coassoc[U]", "coassoc[P]"]),
+        (check_counit_antipode, 1, ["counit[U]", "counit[P]"]),
+    ])
+    def test_undecided_naming_the_cap(self, check, cap, names):
+        rep = check(load_data("circle.pres"), cap=cap)
+        assert FAIL not in rep.statuses
+        undecided = [r for r in rep.results if r.status == UNDECIDED]
+        assert [r.name for r in undecided] == names
+        assert all(f"cap {cap}" in r.detail for r in undecided)
+
+    def test_model_mode_overflow_still_raises(self):
+        def overflow():
+            raise DegreeOverflow("degree 3 input exceeds rewriting cap 2")
+
+        with pytest.raises(RuntimeError, match="check c raised"):
+            Report("t").run("c", "model", overflow)
 
 
 class TestCanonicalSets:

@@ -16,6 +16,11 @@ def alg():
 
 
 class TestParse:
+    def test_error_carries_its_token_position(self, alg):
+        with pytest.raises(ParseError, match="expected INT") as exc:
+            parse_element("U V^x", alg)
+        assert exc.value.pos == 4  # U, V, ^ and x taken
+
     def test_generator(self, alg):
         assert (parse_element("U", alg) - alg.gen("U")).is_zero()
 
