@@ -743,7 +743,7 @@ def check_deformed_hom(act: ActionSpec, J, degree_bound: int = 3,
             for mn2 in monos:
                 lhs = bullet_product(alpha_monomial(act, *mn1), alpha_monomial(act, *mn2), Jb)
                 rhs = alpha_of(act, rieffel_product(a, a_amb.monomial(mn2), J))
-                if not (lhs - rhs).is_zero():
+                if lhs != rhs:
                     failures.append((mn1, mn2))
         pairs = len(monos) ** 2
         if failures:
@@ -794,7 +794,7 @@ def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
                 y = Element(q_amb, {my: Scalar.one()})
                 lhs = phased_product(x, y, left_phase, q_amb.bidegree)
                 rhs = phased_product(x, y, right_phase, q_amb.bidegree)
-                if not (lhs - rhs).is_zero():
+                if lhs != rhs:
                     return FAIL, f"pair {q_amb.render_mono(mx)}, {q_amb.render_mono(my)}"
         return PASS, f"{len(q_monos) ** 2} bihomogeneous pairs"
 
@@ -817,7 +817,7 @@ def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
                 lhs = alpha_of(act, rieffel_product(a, a_amb.monomial(mn2), J))
                 rhs = phased_product(alpha_monomial(act, *mn1), alpha_monomial(act, *mn2),
                                      right_phase, q_grading)
-                if not (lhs - rhs).is_zero():
+                if lhs != rhs:
                     return FAIL, f"pair {mn1}, {mn2}"
         return PASS, f"{len(monos) ** 2} pairs"
 
@@ -830,7 +830,7 @@ def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
                 x, y = alpha_monomial(act, *mn1), alpha_monomial(act, *mn2)
                 lhs = bullet_product(x, y, Jb)
                 rhs = phased_product(x, y, left_phase, q_grading)
-                if not (lhs - rhs).is_zero():
+                if lhs != rhs:
                     return FAIL, f"pair {mn1}, {mn2}"
         return PASS, f"{len(monos) ** 2} pairs"
 

@@ -95,11 +95,12 @@ def tokenize(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, toks, algebras, theta):
+    def __init__(self, toks, algebras, theta, cap):
         self.toks = toks
         self.pos = 0
         self.algebras = algebras
         self.theta = theta
+        self.cap = cap
 
     def peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
@@ -200,6 +201,7 @@ class _Parser:
                     p = self.parse_power()
                     if p < 0:  # a negative power is a power of the adjoint
                         w, p = f_alg.star_mono(w)[1], -p
+                    self._check_power(len(w), p)
                     w = w * p
                 else:
                     break
@@ -218,9 +220,17 @@ class _Parser:
                 a = _star(a)
             elif k == "SYM" and v == "^":
                 self.take()
-                a = _power(a, self.parse_power())
+                p = self.parse_power()
+                if isinstance(a, Element):
+                    self._check_power(a.deg(), abs(p))
+                a = _power(a, p)
             else:
                 return a
+
+    def _check_power(self, deg: int, p: int):
+        """Refuse a power of degree above the cap before it is built."""
+        if self.cap is not None and deg * p > self.cap:
+            raise ParseError(f"power of degree {deg * p} exceeds rewriting cap {self.cap}")
 
     # power := ['-'] INT, after '^'
     def parse_power(self) -> int:
@@ -327,18 +337,20 @@ def _as_element(x, alg) -> Element:
     return x
 
 
-def parse(text: str | list, algebras, theta: Fraction | None = None):
+def parse(text: str | list, algebras, theta: Fraction | None = None, cap: int | None = None):
     """Parse an expression over one or more algebras.
 
     ``text`` is the expression or its :func:`tokenize` list.  ``algebras``
     is a single free algebra or a list (tensor factors, in order).  With
     ``theta`` set, occurrences of the formal parameter inside e(..) are
-    specialised to the given rational.  Returns an Element, or a Scalar for
+    specialised to the given rational.  With ``cap`` set, a power whose
+    degree exceeds it (``U^9`` or ``(U V)^5`` at cap 8) is a ParseError,
+    raised before the power is built.  Returns an Element, or a Scalar for
     purely scalar expressions.
     """
     if not isinstance(algebras, (list, tuple)):
         algebras = [algebras]
-    p = _Parser(tokenize(text) if isinstance(text, str) else text, list(algebras), theta)
+    p = _Parser(tokenize(text) if isinstance(text, str) else text, list(algebras), theta, cap)
     try:
         out = p.parse_expr()
         if p.pos != len(p.toks):
@@ -349,8 +361,9 @@ def parse(text: str | list, algebras, theta: Fraction | None = None):
     return out
 
 
-def parse_element(text: str | list, algebras, theta: Fraction | None = None) -> Element:
-    out = parse(text, algebras, theta)
+def parse_element(text: str | list, algebras, theta: Fraction | None = None,
+                  cap: int | None = None) -> Element:
+    out = parse(text, algebras, theta, cap)
     if isinstance(out, Scalar):
         algs = algebras if isinstance(algebras, (list, tuple)) else [algebras]
         if len(algs) > 1:

@@ -15,6 +15,12 @@ An *ambient* is any object exposing the monomial interface used by
 Elements of two ambients combine only when :func:`same_ambient` holds (the
 same object, or the same type and structure); otherwise ``ValueError``.
 
+An element's term dict never holds a zero coefficient: the constructor drops
+zero terms and ``_add_term`` deletes a term that cancels.  ``Scalar.__eq__``
+is exact, also between cyclotomic constants of different conductors.  So two
+elements are equal exactly when their term dicts are, and ``==`` compares
+the dicts without forming a difference.
+
 Free algebras use words over generator letters (adjoints are letters in
 their own right), tensor algebras use tuples of factor monomials.  The
 graded block algebras in :mod:`qiso.graded` implement the same interface,
@@ -239,7 +245,7 @@ class Element:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Scalar, Element)):
-            return (self - self._coerce(other)).is_zero()
+            return self.t == self._coerce(other).t
         return NotImplemented
 
     def __hash__(self):

@@ -20,9 +20,10 @@ from qiso.catalog import (
     torus_block,
 )
 from qiso.cqg import Report
+from qiso.expr import ParseError
 from qiso.freealg import Element
 from qiso.graded import BlockAlgebra
-from qiso.rewrite import RuleSet
+from qiso.rewrite import NonUnitLeadCoefficient, RuleSet
 from qiso.scalars import Scalar, ThetaLin
 
 
@@ -137,6 +138,32 @@ class TestScenarioHelpers:
         assert status == "UNDECIDED"
         assert cert is None
 
+    @pytest.mark.parametrize("text, degree", [
+        ("U^10000000", 10000000), ("U^-10000000", 10000000), ("(U V)^5", 10), ("V (U)^3000", 3000),
+    ])
+    def test_power_above_the_nf_cap_is_refused(self, scenario_cache, text, degree):
+        sc, _ = scenario_cache("torus")
+        with pytest.raises(ParseError, match=f"^power of degree {degree} exceeds rewriting cap 8$"):
+            sc.parse(text)
+
+    def test_power_at_the_nf_cap_parses(self, scenario_cache):
+        sc, _ = scenario_cache("torus")
+        assert sc.parse("U^8") == sc.nf_algebra.gen("U") ** 8
+        assert sc.parse("(U V)^4 - (U V)^4").is_zero()
+
+    def test_power_outside_the_nf_system_is_not_capped(self, scenario_cache):
+        # the A1..D2 algebra has no normal-form system, so no cap applies
+        sc, _ = scenario_cache("torus")
+        assert sc.parse("A1^9").deg() == 9
+
+    @pytest.mark.parametrize("name, text, cap", [
+        ("torus", "U^9 - U^9", 8), ("circle", "A^7", 6), ("sphere", "Q11^3", 2),
+    ])
+    def test_membership_power_above_the_cap_is_refused(self, scenario_cache, name, text, cap):
+        sc, _ = scenario_cache(name)
+        with pytest.raises(ParseError, match=f"exceeds rewriting cap {cap}$"):
+            sc.membership(text)
+
     def test_circle_membership(self, scenario_cache):
         sc, _ = scenario_cache("circle")
         status, _ = sc.membership("A B* + B A*")
@@ -175,6 +202,34 @@ class TestCoherenceHelper:
 
     def test_specialized(self):
         assert nf_model_coherence(-1, theta=Fraction(1, 3), max_len=3) == 84
+
+    @staticmethod
+    def _conjugate_exchange(monkeypatch):
+        """The exchange relation V U - mu U V written with mu conjugated."""
+        torus_relations = catalog.torus_relations
+
+        def mutated(alg, mu):
+            rels = torus_relations(alg, mu)
+            U, V = alg.gen("U"), alg.gen("V")
+            rels[4] = V * U - U * V * mu.conj()
+            return rels
+
+        monkeypatch.setattr(catalog, "torus_relations", mutated)
+
+    def test_conjugated_exchange_names_a_word(self, monkeypatch):
+        # at length 2 no overlap is resolved, so the system completes and
+        # the model refutes the normal form of the first word it rewrites
+        self._conjugate_exchange(monkeypatch)
+        with pytest.raises(AssertionError,
+                           match=r"^normal form of V U disagrees with the model: "):
+            nf_model_coherence(-1, max_len=2)
+
+    def test_conjugated_exchange_is_refused_at_length_3(self, monkeypatch):
+        # from length 3 on, the overlap V U U* resolves against the adjoint
+        # exchange and leaves (e(2t) - 1) V, which completion refuses
+        self._conjugate_exchange(monkeypatch)
+        with pytest.raises(NonUnitLeadCoefficient, match=r"-1 \+ e\(2\*t\)"):
+            nf_model_coherence(-1, max_len=3)
 
     def test_disagreement_raises_without_asserts(self):
         # under python -O, with every normal form forced to 0, the first word

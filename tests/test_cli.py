@@ -40,6 +40,15 @@ class TestNf:
         err = capsys.readouterr().err.strip()
         assert err == "error: degree 9 input exceeds rewriting cap 8"
 
+    @pytest.mark.parametrize("text, degree", [
+        ("U^1000000", 1000000), ("U^-1000000", 1000000), ("(U)^3000", 3000),
+    ])
+    def test_power_above_the_cap_is_refused_before_it_is_built(self, capsys, text, degree):
+        assert main(["nf", "torus", text]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: power of degree {degree} exceeds rewriting cap 8"]
+
     @pytest.mark.parametrize("text, message", [
         ("A1 A2^x", "error: expected INT, got 'x'"),  # read furthest over A1..D2
         ("U V W", "error: unknown generator 'W'"),  # read furthest over U, V
@@ -71,6 +80,12 @@ class TestMember:
     def test_undecided_exit_code(self, capsys):
         assert main(["member", "torus", "U V - V U"]) == 2
         assert capsys.readouterr().out.strip() == "UNDECIDED"
+
+    def test_power_above_the_cap_is_usage_error(self, capsys):
+        assert main(["member", "torus", "U^9 - U^9"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: power of degree 9 exceeds rewriting cap 8"]
 
     def test_parse_error_exit_code(self, capsys):
         assert main(["member", "torus", "W W"]) == 3

@@ -124,6 +124,27 @@ def _elements(draw, alg):
     return Element(alg, terms)
 
 
+class TestPowerCap:
+    @pytest.mark.parametrize("text, degree", [
+        ("U^9", 9), ("U^-9", 9), ("(U V)^5", 10), ("(U + V*)^-9", 9),
+        ("U^100000", 100000), ("(U)^3000", 3000),
+    ])
+    def test_power_above_the_cap_is_refused(self, alg, text, degree):
+        with pytest.raises(ParseError, match=f"^power of degree {degree} exceeds rewriting cap 8$"):
+            parse_element(text, alg, cap=8)
+
+    @pytest.mark.parametrize("text", ["U^8", "(U V)^4", "U^-8", "2^20 U", "(U - U)^100", "U^0"])
+    def test_power_within_the_cap_parses(self, alg, text):
+        assert parse_element(text, alg, cap=8) == parse_element(text, alg)
+
+    def test_each_power_is_capped_not_the_run(self, alg):
+        # a longer input is left to the rewriting system's own degree test
+        assert parse_element("V U^8", alg, cap=8).deg() == 9
+
+    def test_no_cap_by_default(self, alg):
+        assert parse_element("U^20", alg).deg() == 20
+
+
 class TestRoundTrip:
     @settings(deadline=None, max_examples=40)
     @given(st.data())
