@@ -13,6 +13,8 @@ Example: ``A1* A1 + B1* B1 - 1`` or ``U (x) A1 + e(-t) * V (x) B1``.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 
 from .freealg import Element, same_ambient, tensor
@@ -316,10 +318,44 @@ def _power(x, p: int):
     if isinstance(x, Scalar):
         if p < 0 and not x.is_unit():
             raise ParseError(f"negative power of the non-invertible scalar {x.render()}")
+        _check_printable_power(x, p)
         return x**p
     if p < 0:
         return x.star() ** (-p)
     return x**p
+
+
+def _check_printable_power(x: Scalar, p: int):
+    """Refuse x^p, before it is computed, when a numerator or denominator of
+    the result would be longer than ``sys.get_int_max_str_digits()``, so the
+    result could not be printed.
+
+    A negative power is the power k = -p of the inverse.  A rational a/b in
+    lowest terms gives |a|^k and b^k, whose lengths are exact.  Any other
+    x^k gets a lower bound: at every real t, a scalar with m' terms over
+    Q(zeta_n) whose printed coordinates are at most H is at most m' * n * H
+    in modulus, and x^k has m' <= (k + 1)^(m - 1) terms for the m terms of
+    x.  |x| is read at t = 0 and at t = sqrt(2), where no nonzero scalar
+    vanishes (e(sqrt(2)/d) is transcendental)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return
+    k = p
+    if k < 0:
+        x, k = x.inv(), -k
+    if x.is_rational():
+        q = x.rational_value()
+        digits = k * math.log10(max(abs(q.numerator), q.denominator))
+    else:
+        try:
+            size = max(abs(x.numeric(t)) for t in (0.0, 2**0.5))
+        except OverflowError:  # left to the computation itself
+            return
+        n = math.lcm(*(c.n for c in x.terms.values()))
+        m = len(x.terms)
+        digits = k * math.log10(size) - math.log10(n) - (m - 1) * math.log10(k + 1) if size else 0
+    if digits >= limit:
+        raise ParseError(f"scalar power ^{p} would print a number of more than {limit} digits")
 
 
 def _check_combinable(x, y):

@@ -12,14 +12,20 @@ over the *input* relations, which is re-expanded and checked before a YES is
 returned.  A nonzero normal form only ever yields UNDECIDED (the cap may be
 too small), never a NO.
 
-Completion pays only for the rules it keeps.  Each S-element carries a
-function that builds its certificate.  The element is reduced once, and its
-reduction steps are kept; only an element that survives (most reduce to
-zero) has its certificate built, from that function and those steps.  Rules
-are never changed once made, so the deferred certificates equal eager ones.
-A pair of monomial rules (both rhs zero) only gives zero and is never formed.
-``RuleSet.skipped`` counts the overlaps dropped at the cap; ``capped`` is
-``skipped > 0``.
+Completion does only the work its rules need.  An S-element is a plain term
+dict (word -> nonzero Scalar), formed from each rule's negated rhs kept at
+hand, and reduced once by the kernel ``normal_form`` uses too; most reduce to
+zero.  A survivor becomes a rule that keeps what its certificate is built
+from: the S-element's source, the reduction steps and the inverse lead
+coefficient.  The certificate is built on first request
+(``normal_form(..., with_cert=True)``, ``ideal_member`` or ``Rule.rep``),
+with the pending certificates it rests on, in rule order: a rule's source
+and steps refer only to earlier rules, so no recursion is needed.  Rules are
+never changed once made, so these certificates equal eager ones.  No rule
+refers back to its RuleSet, so a discarded system is freed by reference
+counting alone.  A pair of monomial rules (both rhs zero) only gives zero and
+is never formed.  ``RuleSet.skipped`` counts the overlaps dropped at the cap;
+``capped`` is ``skipped > 0``.
 
 Rules are found by word lookup, not by scanning.  Each new lhs is the lead
 of an element reduced by every earlier rule, so lhs words are unique.  A
@@ -54,12 +60,79 @@ class UnitIdeal(ValueError):
 
 
 class Rule:
-    __slots__ = ("lhs", "rhs", "rep")
+    """A rewrite rule lhs -> rhs with its certificate ``rep``, a list
+    [(Scalar, u, rel_index, v)] with lhs - rhs = sum c*u*r*v over the input
+    relations.  ``neg`` is -rhs as a term dict.
+
+    A rule made by completion keeps what its certificate is built from (the
+    S-element's source, the reduction steps and the inverse lead coefficient)
+    and builds ``rep`` when it is first read."""
+
+    __slots__ = ("lhs", "rhs", "neg", "_rep", "_pending")
 
     def __init__(self, lhs, rhs: Element, rep):
         self.lhs = lhs  # word
         self.rhs = rhs  # Element with monomials < lhs
-        self.rep = rep  # [(Scalar, u, rel_index, v)] with lhs - rhs = sum c*u*r*v
+        self.neg = {m: -c for m, c in rhs.t.items()}
+        self._rep = rep
+        self._pending = None  # (position, source, steps, ci) until rep is built
+
+    @property
+    def rep(self):
+        if self._pending is not None:
+            _certify(self)
+        return self._rep
+
+
+def _certify(rule: Rule):
+    """Build the pending certificate of ``rule`` and of every pending rule it
+    rests on.  A rule's source and steps refer only to earlier rules, so
+    building them in rule order needs no recursion."""
+    todo, stack = {}, [rule]
+    while stack:
+        r = stack.pop()
+        if r._pending is not None and r._pending[0] not in todo:
+            pos, src, steps, _ = r._pending
+            todo[pos] = r
+            if isinstance(src, tuple):
+                stack += (src[0], src[2])
+            stack.extend(step[2] for step in steps)
+    for _, r in sorted(todo.items()):
+        _, src, steps, ci = r._pending
+        if isinstance(src, tuple):  # the S-element rhs1.y1 - x2.rhs2.y2
+            r1, y1, r2, x2, y2 = src
+            rep = [(-s, u, k, v + y1) for s, u, k, v in r1._rep] + [
+                (s, x2 + u, k, v + y2) for s, u, k, v in r2._rep
+            ]
+        else:  # input relation number src
+            rep = [(Scalar.one(), (), src, ())]
+        # the steps represent the part reduction removed, so the survivor is
+        # the source minus the steps
+        rep += [(-s, u, k, v) for s, u, k, v in _expand(steps)]
+        r._rep = [(ci * s, u, k, v) for s, u, k, v in rep]
+        r._pending = None
+
+
+def _expand(steps):
+    """The certificate of reduction steps (c, u, rule, v), over the input relations."""
+    return [(c * s, u + ru, k, rv + v) for c, u, rule, v in steps for s, ru, k, rv in rule.rep]
+
+
+def _s_element(r1: Rule, y1, r2: Rule, x2, y2) -> dict:
+    """The S-element of the word lhs1.y1 == x2.lhs2.y2, rhs1.y1 - x2.rhs2.y2,
+    as a term dict with the terms and order that ``Element.__sub__`` gives."""
+    d = {m + y1: c for m, c in r1.rhs.t.items()}
+    for m, c in r2.neg.items():
+        w = x2 + m + y2
+        if w in d:
+            s = d[w] + c
+            if s.is_zero():
+                del d[w]
+            else:
+                d[w] = s
+        else:
+            d[w] = c
+    return d
 
 
 class RuleSet:
@@ -129,62 +202,55 @@ class RuleSet:
 
     def _complete(self):
         alg = self.algebra
+        order_key = alg.order_key
         counter = 0
         queue: list = []
 
-        def push(elem, build):
+        def push(terms, src):
             nonlocal counter
-            if elem.is_zero():
+            if not terms:
                 return
-            lead = max(elem.t, key=alg.order_key)
-            heapq.heappush(queue, (alg.order_key(lead), counter, elem, build))
+            lead = next(iter(terms)) if len(terms) == 1 else max(terms, key=order_key)
+            heapq.heappush(queue, (order_key(lead), counter, terms, src))
             counter += 1
 
         for i, r in enumerate(self.relations):
             if r.deg() > self.cap:
                 raise DegreeOverflow(f"relation of degree {r.deg()} exceeds cap {self.cap}")
-            push(r, lambda i=i: [(Scalar.one(), (), i, ())])
+            push(r.t, i)
 
         while queue:
-            _, _, elem, build = heapq.heappop(queue)
-            # most S-elements reduce to zero; only a survivor gets a certificate
-            elem, steps = self._reduce(elem)
-            if elem.is_zero():
+            _, _, terms, src = heapq.heappop(queue)
+            # most S-elements reduce to zero; only a survivor becomes a rule
+            terms, steps = self._reduce(list(terms.items()))
+            if not terms:
                 continue
-            lead = max(elem.t, key=alg.order_key)
-            c = elem.t[lead]
+            lead = max(terms, key=order_key)
+            c = terms[lead]
             if not c.is_unit():
                 raise NonUnitLeadCoefficient(
-                    f"leading coefficient {c.render()} of {elem.render()} is not a unit"
+                    f"leading coefficient {c.render()} of {Element(alg, terms).render()} is not a unit"
                 )
             if not lead:
-                raise UnitIdeal(f"the relations generate the unit ideal: {elem.render()} = 0")
+                raise UnitIdeal(
+                    f"the relations generate the unit ideal: {Element(alg, terms).render()} = 0"
+                )
             ci = c.inv()
             rhs = Element(alg)
-            rhs.t = {m: x * -ci for m, x in elem.t.items() if m != lead}
-            # build() represents the popped element; the steps represent the
-            # part reduction removed, so the survivor is their difference
-            rep = build() + [(-s, u, k, v) for s, u, k, v in self._expand(steps)]
-            rule = Rule(lead, rhs, [(ci * s, u, k, v) for s, u, k, v in rep])
+            rhs.t = {m: x * -ci for m, x in terms.items() if m != lead}
+            rule = Rule(lead, rhs, None)
+            rule._pending = (len(self.rules), src, steps, ci)
             n = len(lead)
             for p, kind, k in self._resolve(self._add_rule(rule)):
                 other = self.rules[p]
                 lp = other.lhs
                 if kind == 0:  # lead.y == x.lp
-                    push(*self._s_element(rule, lp[k:], other, lead[: n - k], ()))
+                    src = (rule, lp[k:], other, lead[: n - k], ())
                 elif kind == 1:  # lp.y == x.lead
-                    push(*self._s_element(other, lead[k:], rule, lp[: len(lp) - k], ()))
+                    src = (other, lead[k:], rule, lp[: len(lp) - k], ())
                 else:  # lp == x.lead.y
-                    push(*self._s_element(other, (), rule, lp[:k], lp[k + n :]))
-
-    def _s_element(self, r1: Rule, y1, r2: Rule, x2, y2):
-        """The S-element of the word lhs1.y1 == x2.lhs2.y2, rhs1.y1 - x2.rhs2.y2,
-        with a zero-argument function that builds its certificate."""
-        d = _difference(self.algebra, ((m + y1, c) for m, c in r1.rhs.t.items()),
-                        ((x2 + m + y2, c) for m, c in r2.rhs.t.items()))
-        return d, lambda: [(-s, u, k, v + y1) for s, u, k, v in r1.rep] + [
-            (s, x2 + u, k, v + y2) for s, u, k, v in r2.rep
-        ]
+                    src = (other, (), rule, lp[:k], lp[k + n :])
+                push(_s_element(*src), src)
 
     # -- reduction -----------------------------------------------------------
     def _find(self, w):
@@ -202,31 +268,32 @@ class RuleSet:
                 return i, self.rules[best]
         return None
 
-    def _reduce(self, elem: Element):
-        """Fully reduce an element, leftmost match first.  Returns the reduced
-        element and the steps (c, u, rule, v), with
-        original = reduced + sum(c * u.(lhs - rhs).v)."""
-        work = list(elem.t.items())
-        done = Element.zero(self.algebra)
+    def _reduce(self, work: list):
+        """Fully reduce a list of (word, nonzero Scalar) terms, leftmost match
+        first; the list is used up.  Returns the reduced term dict and the
+        steps (c, u, rule, v), with original = reduced + sum(c * u.(lhs - rhs).v).
+        A product of nonzero scalars is nonzero, so no new term is zero."""
+        find = self._find
+        done: dict = {}
         steps = []
         while work:
             w, c = work.pop()
-            hit = self._find(w)
+            hit = find(w)
             if hit is None:
-                done._add_term(w, c)
+                if w in done:
+                    s = done[w] + c
+                    if s.is_zero():
+                        del done[w]
+                    else:
+                        done[w] = s
+                else:
+                    done[w] = c
                 continue
             i, rule = hit
             u, v = w[:i], w[i + len(rule.lhs) :]
             steps.append((c, u, rule, v))
-            work.extend((u + m + v, rc * c) for m, rc in rule.rhs.t.items())
+            work.extend([(u + m + v, rc * c) for m, rc in rule.rhs.t.items()])
         return done, steps
-
-    @staticmethod
-    def _expand(steps):
-        """The certificate of reduction steps, over the input relations."""
-        return [
-            (c * s, u + ru, k, rv + v) for c, u, rule, v in steps for s, ru, k, rv in rule.rep
-        ]
 
     # -- public API -------------------------------------------------------------
     def normal_form(self, elem: Element, with_cert=False):
@@ -234,20 +301,12 @@ class RuleSet:
             raise DegreeOverflow(
                 f"degree {elem.deg()} input exceeds rewriting cap {self.cap}"
             )
-        nf, steps = self._reduce(elem)
+        terms, steps = self._reduce(list(elem.t.items()))
+        nf = Element(self.algebra)
+        nf.t = terms
         if with_cert:
-            return nf, self._expand(steps)
+            return nf, _expand(steps)
         return nf
-
-
-def _difference(alg, pos, neg) -> Element:
-    """sum(pos) - sum(neg) over (word, nonzero Scalar) pairs with distinct
-    words, with the terms and order that ``Element.__sub__`` gives."""
-    out = Element(alg)
-    out.t = dict(pos)
-    for m, c in neg:
-        out._add_term(m, -c)
-    return out
 
 
 class Membership:

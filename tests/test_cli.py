@@ -49,6 +49,16 @@ class TestNf:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: power of degree {degree} exceeds rewriting cap 8"]
 
+    @pytest.mark.parametrize("text", ["3^3000000 U", "2^-20000"])
+    def test_unprintable_scalar_power_is_refused(self, capsys, text):
+        # refused before 3^3000000 is computed, in qiso's words, not Python's
+        # int-to-string error from rendering
+        assert main(["nf", "torus", text]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: scalar power ^") and line.endswith(" digits")
+
     @pytest.mark.parametrize("text, message", [
         ("A1 A2^x", "error: expected INT, got 'x'"),  # read furthest over A1..D2
         ("U V W", "error: unknown generator 'W'"),  # read furthest over U, V

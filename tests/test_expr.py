@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qiso.expr import ParseError, parse_element
+from qiso.expr import ParseError, parse, parse_element
 from qiso.freealg import Element, FreeAlgebra, tensor
 from qiso.presfile import load_data
 from qiso.scalars import Scalar, ThetaLin
@@ -143,6 +143,26 @@ class TestPowerCap:
 
     def test_no_cap_by_default(self, alg):
         assert parse_element("U^20", alg).deg() == 20
+
+
+class TestScalarPowerLimit:
+    # the limit is Python's own: sys.get_int_max_str_digits(), 4300 by default
+    @pytest.mark.parametrize("text, power", [
+        ("3^3000000 U", 3000000), ("2^-20000", -20000), ("(2 + e(1/5))^30000", 30000),
+        ("(1 + e(t))^100000 V", 100000), ("(e(t) - 1)^100000", 100000),
+        ("(e(4*t) - 1)^100000", 100000),
+    ])
+    def test_unprintable_power_is_refused(self, alg, text, power):
+        with pytest.raises(ParseError, match=rf"^scalar power \^{power} would print a number of more than \d+ digits$"):
+            parse_element(text, alg)
+
+    @pytest.mark.parametrize("text", [
+        "3^100", "e(1/3)^1000000", "e(t)^1000", "(3/2)^-9000", "(2 + e(1/5))^300", "0^5", "7^0", "(e(t) - 1)^1",
+    ])
+    def test_printable_power_parses(self, alg, text):
+        got = parse(text, alg)
+        assert isinstance(got, Scalar)
+        assert parse(got.render(), alg) == got
 
 
 class TestRoundTrip:

@@ -1,7 +1,12 @@
+import gc
+import inspect
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from qiso import rewrite
 from qiso.freealg import Element, FreeAlgebra
 from qiso.rewrite import (
     UNDECIDED,
@@ -187,3 +192,55 @@ def test_unit_ideal_is_a_named_error():
     with pytest.raises(UnitIdeal, match="unit ideal"):
         RuleSet(alg, [x - 1, x - 2], 2)
     assert issubclass(UnitIdeal, ValueError)  # the CLI's usage error, exit 3
+
+
+class TestDeferredCertificates:
+    """A rule made by completion builds its certificate when one is first
+    asked for, from data that refers only to earlier rules."""
+
+    def test_completion_and_plain_normal_forms_build_none(self, monkeypatch, torus_rules):
+        alg, _rules, rels = torus_rules
+        calls = []
+        certify = rewrite._certify
+        monkeypatch.setattr(rewrite, "_certify", lambda rule: calls.append(rule) or certify(rule))
+        rules = RuleSet(alg, rels, 8)
+        U, V = alg.gen("U"), alg.gen("V")
+        for p in (V * U, U.star() * V * U * V.star(), U * U.star() * V - V):
+            rules.normal_form(p)
+        assert calls == []
+        res = ideal_member(U * V - V * U * Scalar.exponential(ThetaLin(0, 1)), rules)
+        assert res.status == YES and calls
+
+    @pytest.mark.parametrize("with_cert", [False, True])
+    def test_completed_system_is_freed_without_the_cycle_collector(self, torus_rules, with_cert):
+        # no rule refers back to its RuleSet, so reference counting alone
+        # frees a discarded system, certificates built or not
+        alg, _rules, rels = torus_rules
+        U, V = alg.gen("U"), alg.gen("V")
+        gc.disable()
+        try:
+            rules = RuleSet(alg, rels, 8)
+            rules.normal_form(V * U * V.star(), with_cert=with_cert)
+            ref = weakref.ref(rules)
+            del rules
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_last_rule_of_a_long_chain_first(self):
+        # the rule for g(i+1) rests on the rule for g(i): reading the last
+        # certificate first builds the chain in rule order, not by recursion
+        n = 300
+        alg = FreeAlgebra([f"g{i}" for i in range(n + 1)])
+        g = [alg.gen(f"g{i}") for i in range(n + 1)]
+        rels = [g[i + 1] - g[i] for i in range(n)]
+        rules = RuleSet(alg, rels, 1)
+        assert [r.rhs == g[0] for r in rules.rules] == [True] * n
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            rep = rules.rules[-1].rep
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(rep) == n
+        assert verify_certificate(g[n] - g[0], rels, rep)

@@ -2,11 +2,11 @@
 
 ``rewrite_ref.RefRuleSet`` builds every certificate eagerly, scans every
 ordered pair of rules, and finds rules by scanning per-letter buckets.
-:class:`qiso.rewrite.RuleSet` reduces each S-element once and builds a
-certificate only for a survivor, reads the ambiguities of a new rule from
-its prefix, suffix and subword dicts, never forms the (zero) S-element of
-two monomial rules, looks up rules by word, and builds no intermediate
-elements.  Both must give the same system: the same rules in
+:class:`qiso.rewrite.RuleSet` reduces each S-element once, builds a
+survivor's certificate only when it is first read, reads the ambiguities
+of a new rule from its prefix, suffix and subword dicts, never forms the
+(zero) S-element of two monomial rules, looks up rules by word, and builds
+no intermediate elements.  Both must give the same system: the same rules in
 the same order, the same right-hand sides, the same rendered certificates and
 the same count of ambiguities skipped at the cap, and the same normal forms
 and certificates for seeded words.  Every rule's certificate must also
@@ -124,6 +124,25 @@ def test_same_normal_forms_as_reference(completed, name):
         assert render_certificate(new.relations, cert, alg) == render_certificate(
             ref.relations, ref_cert, alg
         )
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+@pytest.mark.parametrize("name", ["torus-b-cap4-generic", "torus-membership"])
+def test_certificates_read_out_of_rule_order(completed, name, order):
+    # a fresh system, whose certificates are all still pending: each read
+    # builds the pending ones it rests on, in rule order, and every rendered
+    # certificate equals the eager reference's
+    _, ref = completed(name)
+    new = RuleSet(ref.algebra, ref.relations, ref.cap)
+    positions = list(range(len(new.rules)))
+    if order == "reversed":
+        positions.reverse()
+    else:
+        random.Random(f"{name}-{order}").shuffle(positions)
+    got = {j: render_certificate(new.relations, new.rules[j].rep, new.algebra) for j in positions}
+    assert [got[j] for j in range(len(new.rules))] == [
+        render_certificate(ref.relations, r.rep, ref.algebra) for r in ref.rules
+    ]
 
 
 def test_skipped_counts_overlaps_above_cap(completed):
