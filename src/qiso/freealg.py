@@ -142,6 +142,19 @@ class TensorAlgebra:
         )
 
 
+def _add_term(t: dict, m, c):
+    """Add c to the coefficient of m in the term dict t: a term that cancels
+    is deleted and a zero c adds nothing."""
+    if m in t:
+        r = t[m] + c
+        if r.is_zero():
+            del t[m]
+        else:
+            t[m] = r
+    elif not c.is_zero():
+        t[m] = c
+
+
 def same_ambient(a, b) -> bool:
     """Whether a and b are one algebra: the same object, or structurally equal."""
     return a is b or (type(a) is type(b) and a.same_structure(b))
@@ -170,14 +183,7 @@ class Element:
 
     # -- arithmetic -------------------------------------------------------------
     def _add_term(self, m, c):
-        if m in self.t:
-            r = self.t[m] + c
-            if r.is_zero():
-                del self.t[m]
-            else:
-                self.t[m] = r
-        elif not c.is_zero():
-            self.t[m] = c
+        _add_term(self.t, m, c)
 
     def __add__(self, other):
         other = self._coerce(other)

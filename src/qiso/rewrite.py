@@ -17,14 +17,15 @@ dict (word -> nonzero Scalar), formed from each rule's negated rhs kept at
 hand, and reduced once by the kernel ``normal_form`` uses too; most reduce to
 zero.  A survivor becomes a rule that keeps what its certificate is built
 from: the S-element's source, the reduction steps and the inverse lead
-coefficient.  The certificate is built on first request
-(``normal_form(..., with_cert=True)``, ``ideal_member`` or ``Rule.rep``),
-with the pending certificates it rests on, in rule order: a rule's source
-and steps refer only to earlier rules, so no recursion is needed.  Rules are
-never changed once made, so these certificates equal eager ones.  No rule
-refers back to its RuleSet, so a discarded system is freed by reference
-counting alone.  A pair of monomial rules (both rhs zero) only gives zero and
-is never formed.  ``RuleSet.skipped`` counts the overlaps dropped at the cap;
+coefficient.  (A rule that is an input relation as it stands has its
+one-term certificate (c^-1, r_i) at once.)  The certificate is built on
+first request (``normal_form(..., with_cert=True)``, ``ideal_member`` or
+``Rule.rep``), with the pending certificates it rests on, in rule order: a
+rule's source and steps refer only to earlier rules, so no recursion is
+needed.  Rules are never changed once made, so these certificates equal
+eager ones.  No rule refers back to its RuleSet, so a discarded system is
+freed by reference counting alone.  A pair of monomial rules (both rhs
+zero) only gives zero and is never formed.  ``RuleSet.skipped`` counts the overlaps dropped at the cap;
 ``capped`` is ``skipped > 0``.
 
 Rules are found by word lookup, not by scanning.  Each new lhs is the lead
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import heapq
 
-from .freealg import Element, FreeAlgebra, TensorAlgebra, same_ambient
+from .freealg import Element, FreeAlgebra, TensorAlgebra, _add_term, same_ambient
 from .scalars import Scalar
 
 YES = "YES"
@@ -66,7 +67,8 @@ class Rule:
 
     A rule made by completion keeps what its certificate is built from (the
     S-element's source, the reduction steps and the inverse lead coefficient)
-    and builds ``rep`` when it is first read."""
+    and builds ``rep`` when it is first read, unless it is one term: an input
+    relation that needed no reduction."""
 
     __slots__ = ("lhs", "rhs", "neg", "_rep", "_pending")
 
@@ -123,15 +125,7 @@ def _s_element(r1: Rule, y1, r2: Rule, x2, y2) -> dict:
     as a term dict with the terms and order that ``Element.__sub__`` gives."""
     d = {m + y1: c for m, c in r1.rhs.t.items()}
     for m, c in r2.neg.items():
-        w = x2 + m + y2
-        if w in d:
-            s = d[w] + c
-            if s.is_zero():
-                del d[w]
-            else:
-                d[w] = s
-        else:
-            d[w] = c
+        _add_term(d, x2 + m + y2, c)
     return d
 
 
@@ -239,7 +233,10 @@ class RuleSet:
             rhs = Element(alg)
             rhs.t = {m: x * -ci for m, x in terms.items() if m != lead}
             rule = Rule(lead, rhs, None)
-            rule._pending = (len(self.rules), src, steps, ci)
+            if steps or isinstance(src, tuple):
+                rule._pending = (len(self.rules), src, steps, ci)
+            else:  # an input relation as it stands: a one-term certificate
+                rule._rep = [(ci, (), src, ())]
             n = len(lead)
             for p, kind, k in self._resolve(self._add_rule(rule)):
                 other = self.rules[p]
@@ -280,14 +277,7 @@ class RuleSet:
             w, c = work.pop()
             hit = find(w)
             if hit is None:
-                if w in done:
-                    s = done[w] + c
-                    if s.is_zero():
-                        del done[w]
-                    else:
-                        done[w] = s
-                else:
-                    done[w] = c
+                _add_term(done, w, c)
                 continue
             i, rule = hit
             u, v = w[:i], w[i + len(rule.lhs) :]

@@ -208,7 +208,13 @@ class TestDeferredCertificates:
         for p in (V * U, U.star() * V * U * V.star(), U * U.star() * V - V):
             rules.normal_form(p)
         assert calls == []
+        # a rule that is an input relation as it stands has its one-term
+        # certificate from the start, so this membership builds none
         res = ideal_member(U * V - V * U * Scalar.exponential(ThetaLin(0, 1)), rules)
+        assert res.status == YES and calls == []
+        # a rule made from an S-element builds its certificate on request
+        made = next(r for r in rules.rules if r._pending is not None)
+        res = ideal_member(Element(alg, {made.lhs: Scalar.one()}) - made.rhs, rules)
         assert res.status == YES and calls
 
     @pytest.mark.parametrize("with_cert", [False, True])
