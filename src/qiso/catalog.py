@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -37,7 +38,6 @@ from .cqg import (
     hopf_quotient,
     odot,
     residue_verdict,
-    same_relation_set,
     solve_counit,
     solve_haar_weights,
     star_close,
@@ -130,16 +130,28 @@ def _compare_sets(report, name, mode, extract, expected):
     """Check that the relations ``extract()`` returns are ``expected``."""
 
     def check():
-        got = extract()
-        if same_relation_set(got, expected):
-            return PASS, f"{len(list(expected))} relations"
-        got_r = canonical_set(got)
-        exp_r = canonical_set(expected)
-        missing = [r for r in exp_r if r not in got_r]
-        extra = [r for r in got_r if r not in exp_r]
+        got, want = canonical_set(extract()), canonical_set(expected)
+        if got == want:
+            return PASS, f"{len(expected)} relations"
+        missing = [r for r in want if r not in got]
+        extra = [r for r in got if r not in want]
         return FAIL, f"missing {missing[:3]}, unexpected {extra[:3]}"
 
     report.run(name, mode, check)
+
+
+def _all_vanish(report, name, relations, value, suffix=""):
+    """The model check that ``value(r)`` is zero for every relation r; a
+    FAIL names the first relation that survives, and a PASS counts the
+    relations, followed by ``suffix``."""
+
+    def check():
+        for i, r in enumerate(relations):
+            if not value(r).is_zero():
+                return FAIL, f"relation {i}: {r.render()}"
+        return PASS, f"{len(relations)} relations{suffix}"
+
+    report.run(name, "model", check)
 
 
 # ===========================================================================
@@ -395,10 +407,13 @@ def build_sphere_scenario() -> Scenario:
     sc.nf_rules = None
 
     def suite(report: Report):
+        # the relations extracted from the commutators, read by the two rows
+        # below; built by the first, so that its time is counted there
+        from_commutators = functools.cache(
+            lambda: [e for r in commutators for e in extract_relations(act, r)])
+
         def extracted():
-            got = []
-            for r in commutators:
-                got.extend(extract_relations(act, r))
+            got = list(from_commutators())
             # alpha fixes the sphere relation; since the relation also holds in
             # the codomain, rewrite the unit as sum_k x_k^2 (x) 1 before bucketing
             ssum = sphere_rel + one_x
@@ -431,9 +446,7 @@ def build_sphere_scenario() -> Scenario:
         # the full exchange family used above (plus unitarity/selfadjointness
         # companions)
         def closure():
-            base = []
-            for r in commutators:
-                base.extend(extract_relations(act, r))
+            base = from_commutators()
             kap = [apply_antipode_to_relation(r, kappa, qa) for r in base]
             combined = canonical_set(base + kap)
             target = canonical_set(sc.member_relations)
@@ -558,37 +571,29 @@ def matrix_m(elems: dict) -> list:
     ]
 
 
+# generator -> (row, column) of its entry in M
+_POSITIONS = {
+    "A1": (0, 0), "A2": (0, 1), "B1": (1, 0), "B2": (1, 1),
+    "C1": (2, 0), "C2": (2, 1), "D1": (3, 0), "D2": (3, 1),
+}
+
+
 def coproduct_table(alg: FreeAlgebra) -> dict:
-    """The matrix coproduct on the eight families, in free tensor form."""
+    """Delta(M_ij) = sum_k M_ik (x) M_kj on the eight families, in free tensor form."""
     M = matrix_m({n: alg.gen(n) for n in _NAMES8})
-    positions = {  # generator -> (row, column) in M
-        "A1": (0, 0), "A2": (0, 1), "B1": (1, 0), "B2": (1, 1),
-        "C1": (2, 0), "C2": (2, 1), "D1": (3, 0), "D2": (3, 1),
-    }
-    table = {}
-    for n, (i, j) in positions.items():
-        table[n] = sum(
-            (tensor(M[i][k], M[k][j]) for k in range(4)),
-            tensor(Element.zero(alg), Element.zero(alg)),
-        )
-    return table
+    zero = tensor(Element.zero(alg), Element.zero(alg))
+    return {n: sum((tensor(M[i][k], M[k][j]) for k in range(4)), zero)
+            for n, (i, j) in _POSITIONS.items()}
 
 
 def kappa_table(g: dict) -> dict:
     """kappa(M_ij) = M_ji*, expressed per family generator."""
-    return {
-        "A1": g["A1"].star(),
-        "A2": g["B1"].star(),
-        "B1": g["A2"].star(),
-        "B2": g["B2"].star(),
-        "C1": g["C1"],
-        "C2": g["D1"],
-        "D1": g["C2"],
-        "D2": g["D2"],
-    }
+    M = matrix_m(g)
+    return {n: M[j][i].star() for n, (i, j) in _POSITIONS.items()}
 
 
-EPSILON8 = {n: Scalar.rational(1 if n in ("A1", "B2") else 0) for n in _NAMES8}
+# epsilon(M_ij) = delta_ij
+EPSILON8 = {n: Scalar.rational(int(i == j)) for n, (i, j) in _POSITIONS.items()}
 
 
 def _torus_source(theta: Frac | None = None):
@@ -626,15 +631,13 @@ def torus_relations(alg: FreeAlgebra, mu: Scalar) -> list:
 def torus_action(elems: dict, theta: Frac | None = None) -> ActionSpec:
     """The isometric action with coefficients ``elems`` (the eight families):
     alpha(U) = U (x) A1 + V (x) B1 + U* (x) C1 + V* (x) D1, and alpha(V) the
-    same with A2, B2, C2, D2."""
+    same with A2, B2, C2, D2, the columns 0 and 1 of M."""
     blk = torus_block(theta)
     U, V = blk.gen("U"), blk.gen("V")
-    table = {
-        "U": tensor(U, elems["A1"]) + tensor(V, elems["B1"])
-        + tensor(U.star(), elems["C1"]) + tensor(V.star(), elems["D1"]),
-        "V": tensor(U, elems["A2"]) + tensor(V, elems["B2"])
-        + tensor(U.star(), elems["C2"]) + tensor(V.star(), elems["D2"]),
-    }
+    M = matrix_m(elems)
+    basis = (U, V, U.star(), V.star())
+    table = {n: functools.reduce(operator.add, (tensor(x, M[i][j]) for i, x in enumerate(basis)))
+             for j, n in enumerate(("U", "V"))}
     src, src_rels = _torus_source(theta)
     return ActionSpec(src, src_rels, table, name="torus")
 
@@ -657,11 +660,12 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
             raise ValueError(f"torus_{name}.pres does not declare the eight generators")
         golden[name] = [Element(free8, r.t) for r in pres.relations]
 
+    golden_all = [r for rels in golden.values() for r in rels]
     ds = eight_block_model(theta)
     elems = family_elements(ds)
     b_pres = CQGPresentation(
         algebra=free8,
-        relations=star_close([r for rels in golden.values() for r in rels]),
+        relations=star_close(golden_all),
         coproduct=coproduct_table(free8),
         counit=EPSILON8,
         antipode=kappa_table(gens8),
@@ -708,18 +712,8 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
             act, sU * sV - sV * sU * lam, targets=targets_mix), golden["exchange"])
 
         # the eight-block model satisfies every golden relation
-        def model_soundness():
-            bad = []
-            for key in ("row1", "row2", "mixed", "exchange", "model"):
-                for r in golden[key]:
-                    if not substitute(r, elems).is_zero():
-                        bad.append((key, r.render()))
-            if bad:
-                return FAIL, f"nonzero: {bad[:3]}"
-            total = sum(len(golden[k]) for k in golden)
-            return PASS, f"{total} relations hold in the model"
-
-        report.run("model-soundness", "model", model_soundness)
+        _all_vanish(report, "model-soundness", golden_all, lambda r: substitute(r, elems),
+                    " hold in the model")
 
         check_unitary_matrix(matrix_m(elems), report=report, name="M")
 
@@ -729,13 +723,7 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
 
         # the coproduct descends to every relation: Delta(r) = 0 in the
         # tensor-square model
-        def delta_descends():
-            for i, r in enumerate(b_pres.relations):
-                if not b_pres.delta_model(r).is_zero():
-                    return FAIL, f"relation {i}: {r.render()}"
-            return PASS, f"{len(b_pres.relations)} relations"
-
-        report.run("coproduct-kills-relations", "model", delta_descends)
+        _all_vanish(report, "coproduct-kills-relations", b_pres.relations, b_pres.delta_model)
 
         # block picture: each family element times its own and its partner's
         # range projections selects a single block generator
@@ -761,19 +749,13 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
         report.run("block-projections", "model", projection_identities)
 
         # antipode on relations, evaluated in the model
-        def antipode_kills():
-            kmodel = kappa_table(elems)
-            for i, r in enumerate(b_pres.relations):
-                img = apply_antipode_to_relation(r, kmodel, ds)
-                if not img.is_zero():
-                    return FAIL, f"relation {i}: {r.render()}"
-            return PASS, f"{len(b_pres.relations)} relations"
-
-        report.run("antipode-kills-relations", "model", antipode_kills)
+        kmodel = kappa_table(elems)
+        _all_vanish(report, "antipode-kills-relations", b_pres.relations,
+                    lambda r: apply_antipode_to_relation(r, kmodel, ds))
 
         # isometry: the action preserves Laplacian eigenspaces, and the
         # surviving exponents show the expected dihedral pattern
-        check_isometry(act0, Laplacian(), _MONOS3, report=report)
+        check_isometry(act0, _MONOS3, report=report)
 
         def survival_pattern():
             for (m, n) in _MONOS3:
@@ -886,13 +868,8 @@ def build_double_torus_scenario(torus: Scenario) -> Scenario:
 
         report.run("coproduct-table", "presentation", coproduct_matches)
 
-        def golden_relations_hold():
-            for r in golden.relations:
-                if not substitute(r, quotient.model).is_zero():
-                    return FAIL, r.render()
-            return PASS, f"{len(golden.relations)} relations hold in the model"
-
-        report.run("relations-in-model", "model", golden_relations_hold)
+        _all_vanish(report, "relations-in-model", golden.relations,
+                    lambda r: substitute(r, quotient.model), " hold in the model")
 
         def counit_matches():
             for n in golden.algebra.names:
@@ -905,7 +882,7 @@ def build_double_torus_scenario(torus: Scenario) -> Scenario:
         check_coassoc(quotient, mode="model", report=report)
         check_counit_antipode(quotient, mode="model", report=report)
         check_hom(beta, report=report)
-        check_isometry(beta, Laplacian(), _MONOS3, report=report)
+        check_isometry(beta, _MONOS3, report=report)
 
         # holomorphicity: beta never mixes U, V with their adjoints
         def holomorphic():
@@ -973,8 +950,7 @@ def build_deformation_scenario(torus: Scenario) -> Scenario:
             c2 = commutative_torus()
             d = deform_block(c2, J)
             want = torus_block()
-            got = d.comm.get((0, 1), Scalar.one())
-            expect = want.comm.get((0, 1), Scalar.one())
+            got, expect = d.comm[(0, 1)], want.comm[(0, 1)]
             if got != expect:
                 return FAIL, f"commutation {got.render()} != {expect.render()}"
             U, V = c2.gen("U"), c2.gen("V")
@@ -991,8 +967,7 @@ def build_deformation_scenario(torus: Scenario) -> Scenario:
             deformed = deform_sum(ds0, j_double(J))
             twisted = eight_block_model()
             for k in range(8):
-                got = deformed.blocks[k].comm.get((0, 1), Scalar.one())
-                want = twisted.blocks[k].comm.get((0, 1), Scalar.one())
+                got, want = deformed.blocks[k].comm[(0, 1)], twisted.blocks[k].comm[(0, 1)]
                 if got != want:
                     return FAIL, (
                         f"block {k + 1}: {got.render()} != {want.render()}"
@@ -1009,7 +984,7 @@ def build_deformation_scenario(torus: Scenario) -> Scenario:
             for k in range(8):
                 x = ds0.block_gen(k, 0)
                 y = ds0.block_gen(k, 1)
-                want = twisted.blocks[k].comm.get((0, 1), Scalar.one())
+                want = twisted.blocks[k].comm[(0, 1)]
                 lhs = odot(y, x, Jt) - odot(x, y, Jt) * want
                 if theta is not None:
                     lhs = lhs.specialize(theta)
@@ -1029,7 +1004,10 @@ def build_deformation_scenario(torus: Scenario) -> Scenario:
 
         for c in (0, -1, -2):
             def coherence(c=c):
-                n = nf_model_coherence(c, theta=theta, max_len=6)
+                try:
+                    n = nf_model_coherence(c, theta=theta, max_len=6)
+                except AssertionError as exc:  # a disagreement fails this row only
+                    return FAIL, str(exc)
                 return PASS, f"{n} words of length <= 6"
 
             report.run(f"nf-model-coherence[e({c}t)]", "presentation", coherence)

@@ -358,25 +358,10 @@ def substitute_factors(elem: Element, factor_images: list) -> Element:
         term = tensor(*factor_elems) * c
         pieces_out = term if pieces_out is None else pieces_out + term
     if pieces_out is None:
-        # need a target ambient for the zero element
-        factors = []
-        for f, images in zip(amb.factors, factor_images):
-            if images is None:
-                factors.append(f)
-            else:
-                factors.append(next(iter(images.values())).ambient)
-        return Element.zero(_flatten_tensor(factors))
+        # the zero of the product of the factor targets
+        return tensor(*(Element.zero(f if images is None else next(iter(images.values())).ambient)
+                        for f, images in zip(amb.factors, factor_images)))
     return pieces_out
-
-
-def _flatten_tensor(factors):
-    flat = []
-    for f in factors:
-        if isinstance(f, TensorAlgebra):
-            flat.extend(f.factors)
-        else:
-            flat.append(f)
-    return TensorAlgebra(flat)
 
 
 def tensor(*elems: Element) -> Element:

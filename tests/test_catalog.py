@@ -21,7 +21,7 @@ from qiso.catalog import (
 )
 from qiso.cqg import Report
 from qiso.expr import ParseError
-from qiso.freealg import Element
+from qiso.freealg import Element, FreeAlgebra, substitute, tensor
 from qiso.graded import BlockAlgebra
 from qiso.rewrite import NonUnitLeadCoefficient, RuleSet
 from qiso.scalars import Scalar, ThetaLin
@@ -118,6 +118,26 @@ class TestTorusHelpers:
         ds = eight_block_model()
         M = matrix_m(family_elements(ds))
         assert len(M) == 4 and all(len(row) == 4 for row in M)
+
+    def test_tables_derived_from_m(self):
+        # kappa(M_ij) = M_ji*, epsilon(M_ij) = delta_ij and
+        # Delta(M_ij) = sum_k M_ik (x) M_kj, written out per generator
+        alg = FreeAlgebra(list(catalog._BIDEG))
+        g = {n: alg.gen(n) for n in alg.names}
+        s = {n: alg.gen(n, star=True) for n in alg.names}
+        assert catalog.kappa_table(g) == {
+            "A1": s["A1"], "A2": s["B1"], "B1": s["A2"], "B2": s["B2"],
+            "C1": g["C1"], "C2": g["D1"], "D1": g["C2"], "D2": g["D2"],
+        }
+        one, zero = Scalar.one(), Scalar.zero()
+        assert catalog.EPSILON8 == {"A1": one, "A2": zero, "B1": zero, "B2": one,
+                                    "C1": zero, "C2": zero, "D1": zero, "D2": zero}
+        assert catalog.coproduct_table(alg)["A1"] == (
+            tensor(g["A1"], g["A1"]) + tensor(g["A2"], g["B1"])
+            + tensor(s["C1"], g["C1"]) + tensor(s["C2"], g["D1"]))
+        assert catalog.coproduct_table(alg)["D2"] == (
+            tensor(g["D1"], g["A2"]) + tensor(g["D2"], g["B2"])
+            + tensor(s["B1"], g["C2"]) + tensor(s["B2"], g["D2"]))
 
 
 class TestScenarioHelpers:
@@ -249,6 +269,43 @@ class TestCoherenceHelper:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "raised normal form of U disagrees with the model: -U"
+
+
+class TestVanishingRows:
+    def test_first_survivor_fails_the_row(self):
+        alg = FreeAlgebra(["a", "b"])
+        a, b = alg.gen("a"), alg.gen("b")
+        report = Report("t")
+        kill_a = lambda r: substitute(r, {"a": Element.zero(alg), "b": b})
+        catalog._all_vanish(report, "kills", [a, a * a, b - a, b * a], kill_a, " vanish")
+        catalog._all_vanish(report, "kills-a", [a, a * b], kill_a, " vanish")
+        assert [(r.name, r.mode, r.status, r.detail) for r in report.results] == [
+            ("kills", "model", "FAIL", "relation 2: b - a"),
+            ("kills-a", "model", "PASS", "2 relations vanish"),
+        ]
+
+
+class TestDeformationSuite:
+    def test_coherence_disagreement_fails_its_row(self, monkeypatch):
+        # the heavy checks are stubbed out; one coherence row disagrees, and
+        # the suite still reports every row
+        sc = build("deformation")
+        for name in ("check_deformed_hom", "check_haar_twist_invariance", "check_twist_identities"):
+            monkeypatch.setattr(catalog, name, lambda *args, report, **kwargs: report)
+        sc.haar_weights = lambda: ("PASS", "stub")
+
+        def coherence(c, theta=None, max_len=6):
+            if c == -1:
+                raise AssertionError("normal form of V U disagrees with the model: stub")
+            return 7
+
+        monkeypatch.setattr(catalog, "nf_model_coherence", coherence)
+        rows = {r.name: (r.status, r.detail) for r in sc.suite().results}
+        assert rows["nf-model-coherence[e(-1t)]"] == (
+            "FAIL", "normal form of V U disagrees with the model: stub")
+        assert rows["nf-model-coherence[e(0t)]"] == rows["nf-model-coherence[e(-2t)]"] == (
+            "PASS", "7 words of length <= 6")
+        assert rows["twist-sign-oracle"][0] == rows["haar-weights"][0] == "PASS"
 
 
 class TestSuiteCompletions:

@@ -171,6 +171,29 @@ class TestAntipode:
         img = apply_antipode_to_relation(a.star(), {"a": a.star()}, alg)
         assert (img - a).is_zero()
 
+    def test_multi_term_relation(self):
+        # a selfadjoint generator s and starred letters, against the reversed
+        # product of the letter images built one letter at a time
+        alg = FreeAlgebra(["a", "b", "s"], selfadjoint={"s"})
+        a, b, s = alg.gen("a"), alg.gen("b"), alg.gen("s")
+        lam = Scalar.exponential(ThetaLin(0, 1))
+        kappa = {"a": b.star(), "b": a * s, "s": s * lam}
+        image = {"a": kappa["a"], "a*": kappa["a"].star(), "b": kappa["b"],
+                 "b*": kappa["b"].star(), "s": kappa["s"]}
+        terms = [(["a", "b*", "s"], lam), (["s", "s", "a*"], Scalar.rational(-2)), (["b"], Scalar.one())]
+        r = Element.zero(alg)
+        want = Element.zero(alg)
+        for word, c in terms:
+            term = Element.unit(alg) * c
+            reversed_product = Element.unit(alg) * c
+            for letter in word:
+                term = term * alg.gen(letter[0], star=letter.endswith("*"))
+            for letter in reversed(word):
+                reversed_product = reversed_product * image[letter]
+            r, want = r + term, want + reversed_product
+        assert len(r.t) == 3
+        assert apply_antipode_to_relation(r, kappa, alg) == want
+
 
 class TestHopfQuotient:
     def _pres(self):

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 import qiso
-from qiso.freealg import Element, FreeAlgebra, TensorAlgebra, substitute, substitute_factors, tensor
+from qiso.freealg import (
+    Element, FreeAlgebra, TensorAlgebra, same_ambient, substitute, substitute_factors, tensor,
+)
 from qiso.scalars import Scalar, ThetaLin
 
 
@@ -88,6 +90,15 @@ class TestTensor:
         t = tensor(a, c)
         swapped = substitute_factors(t, [{"a": b, "b": a}, None])
         assert (swapped - tensor(b, c)).is_zero()
+
+    def test_substitute_factors_of_zero(self, alg):
+        # the zero lands in the flattened product of the factor targets
+        other = FreeAlgebra(["c"])
+        pair = tensor(alg.gen("a"), other.gen("c"))
+        zero = Element.zero(TensorAlgebra([alg, other]))
+        out = substitute_factors(zero, [{"a": pair, "b": pair}, None])
+        assert out.is_zero()
+        assert same_ambient(out.ambient, TensorAlgebra([alg, other, other]))
 
     def test_specialize_distributes(self, alg):
         lam = Scalar.exponential(ThetaLin(0, 3))
