@@ -43,7 +43,15 @@ from .cqg import (
     star_close,
 )
 from .expr import ParseError, parse_element, tokenize
-from .freealg import Element, FreeAlgebra, same_ambient, substitute, substitute_factors, tensor
+from .freealg import (
+    Element,
+    FreeAlgebra,
+    _add_term,
+    same_ambient,
+    substitute,
+    substitute_factors,
+    tensor,
+)
 from .graded import (
     SIGMA,
     BlockAlgebra,
@@ -1016,17 +1024,42 @@ def build_deformation_scenario(torus: Scenario) -> Scenario:
     return sc
 
 
+def word_values(alg: FreeAlgebra, blk: BlockAlgebra, max_len: int) -> dict:
+    """The model value of every word of length <= ``max_len`` over the
+    letters of ``alg`` in ``blk`` (a generator goes to the generator of
+    ``blk`` of the same name, an adjoint letter to its adjoint), as one block
+    term (monomial, coefficient), keyed by word in order of length.
+
+    The table is built a length at a time: the value of w x is the product
+    of the value of w and the image of the letter x, one ``blk.mul_mono``."""
+    image = {}  # each letter and its image as a block term
+    for n in alg.names:
+        g = blk.gen(n)
+        for star, x in ((False, g), (True, g.star())):
+            ((m, c),) = x.t.items()
+            image[alg.letter(n, star)] = (m, c)
+    value = {(): ((0,) * blk.d, Scalar.one())}
+    level = [()]
+    for _ in range(max_len):
+        level = [w + (x,) for w in level for x in image]
+        for w in level:
+            m, c = value[w[:-1]]
+            xm, xc = image[w[-1]]
+            ((pc, pm),) = blk.mul_mono(m, xm)
+            value[w] = (pm, c * xc * pc)
+    return value
+
+
 def nf_model_coherence(comm_exponent: int, theta: Frac | None = None,
                        max_len: int = 6) -> int:
     """Exhaustively compare rewriting normal forms with direct graded-model
     evaluation on every word of length <= ``max_len`` over U, V, U*, V* in a
     torus block with V U = e(comm_exponent * t) U V.
 
-    The model value of every word is read from one table, built a length at
-    a time: the value of w x is the value of w times the image of the letter
-    x.  A normal form's terms are no longer than its word, so their values
-    are already in the table when the word is checked.  Every word still goes
-    through ``normal_form`` on its own.
+    The model value of every word is read from :func:`word_values`.  A
+    normal form's terms are no longer than its word, so their values are in
+    the table too.  Every word still goes through ``normal_form`` on its own,
+    shorter words first.
 
     Returns the number of words checked; raises AssertionError on the first
     disagreement (explicitly, so the check holds under ``python -O``).
@@ -1042,25 +1075,17 @@ def nf_model_coherence(comm_exponent: int, theta: Frac | None = None,
     comm = None if comm_exponent == 0 else {(0, 1): mu}
     blk = BlockAlgebra(["U", "V"], comm=comm)
     one = Scalar.one()
-    image = {}  # the letters U, U*, V, V*, in this order, and their images
-    for n in alg.names:
-        g = blk.gen(n)
-        image[alg.letter(n)], image[alg.letter(n, star=True)] = g, g.star()
-
-    value = {(): Element.unit(blk)}
-    level = [()]
-    for _ in range(max_len):
-        level = [w + (x,) for w in level for x in image]
-        for w in level:
-            value[w] = value[w[:-1]] * image[w[-1]]
-        for w in level:
-            got = Element(blk)
-            for m, c in rules.normal_form(Element(alg, {w: one})).t.items():
-                for bm, bc in value[m].t.items():
-                    got._add_term(bm, bc * c)
-            if got != value[w]:
-                raise AssertionError(f"normal form of {alg.render_mono(w)} disagrees with the "
-                                     f"model: {(got - value[w]).render()}")
+    value = word_values(alg, blk, max_len)
+    for w, (wm, wc) in value.items():
+        if not w:
+            continue
+        got: dict = {}
+        for m, c in rules.normal_form(Element(alg, {w: one})).t.items():
+            bm, bc = value[m]
+            _add_term(got, bm, bc * c)
+        if got != {wm: wc}:
+            raise AssertionError(f"normal form of {alg.render_mono(w)} disagrees with the "
+                                 f"model: {(Element(blk, got) - Element(blk, {wm: wc})).render()}")
     return len(value) - 1
 
 

@@ -838,10 +838,16 @@ def check_haar_twist_invariance(model_ambient: DirectSum, weights, J,
     def invariance():
         Jt = j_double(J)
         one = Scalar.one()
+        # the phase of a x_Jtilde b minus that of ab, memoised by the integer
+        # form pair of the degrees, which fixes the phase (SkewMatrix.forms)
+        defects = {}
 
         def twist_defect(p, q):
-            # the phase of a x_Jtilde b minus that of ab
-            return twist_phase(p, Jt, q) - one
+            key = Jt.forms(p, q)
+            d = defects.get(key)
+            if d is None:
+                d = defects[key] = twist_phase(p, Jt, q) - one
+            return d
 
         count = 0
         for m1 in monos:

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from .freealg import Element, same_ambient, tensor
-from .scalars import Scalar, ThetaLin
+from .scalars import ONE, Scalar, ThetaLin
 
 Frac = Fraction
 
@@ -169,6 +169,7 @@ class _Parser:
                 acc = f
             else:
                 _check_combinable(acc, f)
+                _check_printable_products(acc, f)
                 acc = acc * f
         if acc is None:
             raise ParseError(f"empty product near token {self.peek()!r}")
@@ -335,9 +336,8 @@ def _check_printable_power(x: Scalar, p: int):
     x^k gets a lower bound: at every real t, a scalar with m' terms over
     Q(zeta_n) whose printed coordinates are at most H is at most m' * n * H
     in modulus, and x^k has m' <= (k + 1)^(m - 1) terms for the m terms of
-    x.  |x| is read at t = 0 and at t = sqrt(2), where no nonzero scalar
-    vanishes (e(sqrt(2)/d) is transcendental)."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    x.  |x| is read at t = 0 and at t = sqrt(2) (:func:`_log10_sizes`)."""
+    limit = _digit_limit()
     if not limit:
         return
     k = p
@@ -347,15 +347,87 @@ def _check_printable_power(x: Scalar, p: int):
         q = x.rational_value()
         digits = k * math.log10(max(abs(q.numerator), q.denominator))
     else:
-        try:
-            size = max(abs(x.numeric(t)) for t in (0.0, 2**0.5))
-        except OverflowError:  # left to the computation itself
-            return
-        n = math.lcm(*(c.n for c in x.terms.values()))
         m = len(x.terms)
-        digits = k * math.log10(size) - math.log10(n) - (m - 1) * math.log10(k + 1) if size else 0
+        digits = (k * max(_log10_sizes(x)) - math.log10(_conductor(x))
+                  - (m - 1) * math.log10(k + 1))
     if digits >= limit:
         raise ParseError(f"scalar power ^{p} would print a number of more than {limit} digits")
+
+
+def _check_printable_products(x, y):
+    """Refuse the product x * y of two parsed factors (scalars or elements),
+    before it is computed, when one of the scalar products it forms could
+    not be printed (:func:`_check_printable_product`).  A product with the
+    shared ``ONE``, the coefficient of every word a parse reads, is its
+    other factor and is passed at once."""
+    xs = (x,) if isinstance(x, Scalar) else x.t.values()
+    ys = (y,) if isinstance(y, Scalar) else y.t.values()
+    for a in xs:
+        for b in ys:
+            if a is not ONE and b is not ONE:
+                _check_printable_product(a, b)
+
+
+def _check_printable_product(x: Scalar, y: Scalar):
+    """Refuse x * y, before it is computed, by the rule of
+    :func:`_check_printable_power`.  For rationals a/b and c/d in lowest
+    terms the product is (a/g)(c/h) over (b/h)(d/g) with g = gcd(a, d) and
+    h = gcd(c, b), whose lengths are exact.  Any other product has at most
+    m * m' terms for the m and m' terms of x and y, and |xy| = |x||y|.
+
+    Neither bound can reach the limit when the bits of the largest
+    coordinates or denominators of x and y, and the conductor n, satisfy
+    (bits(x) + bits(y)) * log10(2) + log10(n) < limit, so such factors are
+    passed without reading a size."""
+    limit = _digit_limit()
+    if not limit or not x.terms or not y.terms:
+        return
+    n = math.lcm(_conductor(x), _conductor(y))
+    if (_bits(x) + _bits(y)) * math.log10(2) + math.log10(n) < limit:
+        return
+    if n == 1 and x.is_rational() and y.is_rational():
+        p, q = x.rational_value(), y.rational_value()
+        g, h = math.gcd(p.numerator, q.denominator), math.gcd(q.numerator, p.denominator)
+        digits = max(math.log10(abs(p.numerator) // g) + math.log10(abs(q.numerator) // h),
+                     math.log10(p.denominator // h) + math.log10(q.denominator // g))
+    else:
+        size = max(a + b for a, b in zip(_log10_sizes(x), _log10_sizes(y)))
+        digits = size - math.log10(n) - math.log10(len(x.terms) * len(y.terms))
+    if digits >= limit:
+        raise ParseError(f"scalar product would print a number of more than {limit} digits")
+
+
+def _digit_limit() -> int:
+    """Python's limit on the digits of a printed int; 0 when there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _bits(x: Scalar) -> int:
+    """The bit length of the largest coordinate or denominator of x."""
+    return max(v.bit_length() for c in x.terms.values() for v in (c.d, *c.c))
+
+
+def _conductor(x: Scalar) -> int:
+    """The lcm of the conductors of the coefficients of x."""
+    return math.lcm(*(c.n for c in x.terms.values()))
+
+
+def _log10_sizes(x: Scalar) -> list:
+    """log10 |x(t)| at t = 0 and at t = sqrt(2), where no nonzero scalar
+    vanishes (e(sqrt(2)/d) is transcendental); -inf where the float sum
+    reads 0, and at sqrt(2) where an exponent of e(s*t) is too large for a
+    float.  x is first divided by a power of 2 that brings every coordinate
+    into float range, and the sizes are corrected for it."""
+    bits = max(v.bit_length() - c.d.bit_length() for c in x.terms.values() for v in c.c)
+    shift = max(0, bits - 1000)
+    if shift:
+        x = x * Scalar.rational(Frac(1, 1 << shift))
+    sizes = [abs(sum(c.numeric() for c in x.terms.values()))]  # every e(s*0) is 1
+    try:
+        sizes.append(abs(x.numeric(2**0.5)))
+    except OverflowError:
+        sizes.append(0.0)
+    return [math.log10(size) + shift * math.log10(2) if size else -math.inf for size in sizes]
 
 
 def _check_combinable(x, y):

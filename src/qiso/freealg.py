@@ -100,6 +100,7 @@ class TensorAlgebra:
 
     def __init__(self, factors):
         self.factors = list(factors)
+        self._blocks = {}
 
     def one_terms(self):
         terms = {(): Scalar.one()}
@@ -112,14 +113,21 @@ class TensorAlgebra:
         return terms
 
     def mul_mono(self, a, b):
-        out = [(Scalar.one(), ())]
+        out = None  # the products of the factors so far
         for f, x, y in zip(self.factors, a, b):
             prods = f.mul_mono(x, y)
-            out = [(c * pc, m + (pm,)) for c, m in out for pc, pm in prods]
-        return out
+            if out is None:
+                out = [(pc, (pm,)) for pc, pm in prods]
+            else:
+                out = [(c * pc, m + (pm,)) for c, m in out for pc, pm in prods]
+        return [(Scalar.one(), ())] if out is None else out
 
     def block(self, a):
-        return tuple(f.block(x) for f, x in zip(self.factors, a))
+        """The tuple of the factors' keys, memoised per monomial."""
+        key = self._blocks.get(a)
+        if key is None:
+            key = self._blocks[a] = tuple(f.block(x) for f, x in zip(self.factors, a))
+        return key
 
     def star_mono(self, a):
         c = Scalar.one()

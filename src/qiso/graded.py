@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .freealg import Element, same_ambient
+from .freealg import Element, _add_term, same_ambient
 from .scalars import Cyclo, Scalar, ThetaLin
 
 Frac = Fraction
@@ -325,47 +325,50 @@ def twist_phase(p, J: SkewMatrix, q) -> Scalar:
     return J.exponential(SIGMA * a, SIGMA * b)
 
 
-def _by_degree(x: Element, grading) -> dict:
-    """The terms of x grouped by degree: degree -> [(monomial, coefficient)]."""
-    groups: dict = {}
-    for m, c in x.t.items():
-        groups.setdefault(tuple(grading(m)), []).append((m, c))
-    return groups
-
-
 def phased_product(x: Element, y: Element, phase, grading) -> Element:
     """x times y with the scalar ``phase(p, q)`` on each pair of terms of
     degrees p and q (``grading`` maps a monomial to its integer degree
-    vector).  The terms of y are grouped by degree and then by ambient
-    ``block``, and each term of x meets only the terms of its own block, the
-    only pairs whose product can be nonzero.  ``phase`` is called at most
-    once per pair of degrees.  Every twisted product in the package is this
-    kernel.
+    vector, a tuple).
+
+    One pass over y buckets its terms by ambient ``block`` and then by
+    degree, and one pass over x files each term under its degree with the
+    buckets of its own block, so each term of x meets only the terms of its
+    block, the only pairs whose product can be nonzero.  Each term's degree
+    is computed once, and ``phase`` is called once per pair of degrees that
+    has such a pair.  The pairs are taken in the all-pairs order of the
+    degree-grouped product: degrees of x, then degrees of y, in order of
+    first appearance, then the terms of x and of y in their own order.  So
+    the result has the same terms, with the same coefficients formed in the
+    same order, as the product over every term pair.  Every twisted product
+    in the package is this kernel.
     """
     amb = x.ambient
     mul_mono, block = amb.mul_mono, amb.block
-    out = Element.zero(amb)
-    ys = []
-    for q, yterms in _by_degree(y, grading).items():
-        blocks: dict = {}
-        for m2, c2 in yterms:
-            blocks.setdefault(block(m2), []).append((m2, c2))
-        ys.append((q, blocks))
-    for p, xterms in _by_degree(x, grading).items():
-        xs = [(block(m1), m1, c1) for m1, c1 in xterms]
-        for q, blocks in ys:
-            ph = None
-            for b, m1, c1 in xs:
-                yterms = blocks.get(b)
-                if yterms is None:
-                    continue
-                if ph is None:
-                    ph = phase(p, q)
+    rank: dict = {}  # degree of y -> order of first appearance
+    buckets: dict = {}  # block -> degree -> terms of y
+    for m2, c2 in y.t.items():
+        q = grading(m2)
+        if q not in rank:
+            rank[q] = len(rank)
+        buckets.setdefault(block(m2), {}).setdefault(q, []).append((m2, c2))
+    groups: dict = {}  # degree of x -> degree of y -> [(m1, c1, terms of y)]
+    for m1, c1 in x.t.items():
+        pairs = groups.setdefault(grading(m1), {})
+        bucket = buckets.get(block(m1))
+        if bucket is not None:
+            for q, yterms in bucket.items():
+                pairs.setdefault(q, []).append((m1, c1, yterms))
+    out = Element(amb)
+    terms = out.t
+    for p, pairs in groups.items():
+        for q in sorted(pairs, key=rank.__getitem__) if len(pairs) > 1 else pairs:
+            ph = phase(p, q)
+            for m1, c1, yterms in pairs[q]:
                 c1p = c1 * ph
                 for m2, c2 in yterms:
                     c = c1p * c2
                     for pc, pm in mul_mono(m1, m2):
-                        out._add_term(pm, c * pc)
+                        _add_term(terms, pm, c * pc)
     return out
 
 

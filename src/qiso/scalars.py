@@ -22,8 +22,9 @@ so they hash and compare as the same rationals at the cost of an int.
 
 ``Cyclo`` and ``Scalar`` values are immutable: operations may return one of
 their operands or a shared constant, so no code may mutate ``.c`` or
-``.terms``.  A product or power of one-term scalars builds a single term
-without the general merge loop.
+``.terms``.  A product with a factor equal to 1 or -1 (``ONE`` or any other
+form of it) returns the other factor or its negation, and a product or power
+of one-term scalars builds a single term without the general merge loop.
 """
 
 from __future__ import annotations
@@ -331,22 +332,28 @@ class Cyclo:
         for k, v in enumerate(self.c):
             if v == 0:
                 continue
-            if d != 1:
-                v = Frac(v, d)
             if k == 0:
-                parts.append(str(v))
+                parts.append(_ratio(v, d))
             else:
-                root = f"e({Frac(k, self.n)})"
-                if v == 1:
+                root = f"e({_ratio(k, self.n)})"
+                if v == d:
                     parts.append(root)
-                elif v == -1:
+                elif v == -d:
                     parts.append(f"-{root}")
                 else:
-                    parts.append(f"{v}*{root}")
+                    parts.append(f"{_ratio(v, d)}*{root}")
         return join_signed(parts)
 
     def __repr__(self):
         return f"Cyclo({self.render()})"
+
+
+def _ratio(a: int, b: int) -> str:
+    """The rational a/b (b > 0) as ``str(Fraction(a, b))`` prints it."""
+    g = gcd(a, b)
+    if g != 1:
+        a, b = a // g, b // g
+    return str(a) if b == 1 else f"{a}/{b}"
 
 
 def _cyclo(n: int, c: tuple, d: int) -> Cyclo:
@@ -585,10 +592,26 @@ class Scalar:
         if self is ONE:
             return other
         t1, t2 = self.terms, other.terms
+        # a factor equal to 1 or -1 gives the other factor or its negation,
+        # which are the terms the general product would build
+        if len(t2) == 1:
+            ((s2, c2),) = t2.items()
+            if not s2 and c2.n == 1 and c2.d == 1:
+                v = c2.c[0]
+                if v == 1:
+                    return self
+                if v == -1:
+                    return -self
+        if len(t1) == 1:
+            ((s1, c1),) = t1.items()
+            if not s1 and c1.n == 1 and c1.d == 1:
+                v = c1.c[0]
+                if v == 1:
+                    return other
+                if v == -1:
+                    return -other
         if len(t1) == 1 and len(t2) == 1:
             # nonzero field elements have a nonzero product: no zero test
-            ((s1, c1),) = t1.items()
-            ((s2, c2),) = t2.items()
             if not s1:
                 s = s2
             elif not s2:
@@ -702,9 +725,10 @@ class Scalar:
     def render(self) -> str:
         if not self.terms:
             return "0"
+        terms = self.terms
         parts = []
-        for s in sorted(self.terms):
-            c = self.terms[s]
+        for s in sorted(terms) if len(terms) > 1 else terms:
+            c = terms[s]
             cs = c.render()
             if s == 0:
                 parts.append(cs)

@@ -223,6 +223,24 @@ class TestCoherenceHelper:
     def test_specialized(self):
         assert nf_model_coherence(-1, theta=Fraction(1, 3), max_len=3) == 84
 
+    @pytest.mark.parametrize("theta", [None, Fraction(1, 3)])
+    @pytest.mark.parametrize("c", [0, -1, -2])
+    def test_word_values_are_element_products(self, c, theta):
+        # each word's block term is the Element product of its letters'
+        # images, in the block nf_model_coherence builds
+        mu = catalog._torus_phase(c, theta)
+        alg = FreeAlgebra(["U", "V"])
+        blk = BlockAlgebra(["U", "V"], comm=None if c == 0 else {(0, 1): mu})
+        images = {alg.letter(n, star): blk.gen(n).star() if star else blk.gen(n)
+                  for n in alg.names for star in (False, True)}
+        values = catalog.word_values(alg, blk, 4)
+        assert len(values) == 1 + 4 + 16 + 64 + 256
+        for w, (m, coeff) in values.items():
+            want = Element.unit(blk)
+            for x in w:
+                want = want * images[x]
+            assert Element(blk, {m: coeff}) == want, alg.render_mono(w)
+
     @staticmethod
     def _conjugate_exchange(monkeypatch):
         """The exchange relation V U - mu U V written with mu conjugated."""

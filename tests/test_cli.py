@@ -59,6 +59,23 @@ class TestNf:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: scalar power ^") and line.endswith(" digits")
 
+    @pytest.mark.parametrize("command", ["nf", "member"])
+    @pytest.mark.parametrize("text", ["3^4000 3^4000 3^4000 U", "(3^4000 U) (3^4000 V) 3^4000"])
+    def test_unprintable_scalar_product_is_refused(self, capsys, command, text):
+        # each factor prints; their product would not, and is refused in
+        # qiso's words before it is computed, not by Python's int-to-string
+        # error from rendering
+        assert main([command, "torus", text]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: scalar product would print a number of more than {sys.get_int_max_str_digits()} digits"]
+
+    def test_printable_scalar_product_prints(self, capsys):
+        # 3^8000 has 3818 digits
+        assert main(["nf", "torus", "3^4000 3^4000 U"]) == 0
+        assert capsys.readouterr().out == f"{3**8000} * U\n"
+
     @pytest.mark.parametrize("text, message", [
         ("A1 A2^x", "error: expected INT, got 'x'"),  # read furthest over A1..D2
         ("U V W", "error: unknown generator 'W'"),  # read furthest over U, V

@@ -165,6 +165,30 @@ class TestScalarPowerLimit:
         assert parse(got.render(), alg) == got
 
 
+class TestScalarProductLimit:
+    # the rule of the power limit, on each scalar product a parse forms
+    @pytest.mark.parametrize("text", [
+        "3^4000 3^4000 3^4000", "U 3^4000 3^4000 3^4000", "(3^4000 U) (3^4000 V) (3^4000 U)",
+        "(2 + e(1/5))^6000 (2 + e(1/5))^6000", "3^4000 e(1/3) 3^4000 e(1/5) 3^4000 V",
+        "(1/2)^4000 (1/2)^4000 (1/2)^4000 (1/2)^4000 (1/2)^4000",
+        # an exponent of e(s*t) too large for a float: measured at t = 0
+        f"e({10**400}*t) 3^4000 3^4000 3^4000",
+    ])
+    def test_unprintable_product_is_refused(self, alg, text):
+        with pytest.raises(ParseError, match=r"^scalar product would print a number of more than \d+ digits$"):
+            parse_element(text, alg)
+
+    @pytest.mark.parametrize("text", [
+        "3^4000 3^4000", "3^4000 (1/3)^4000 3^4000", "(2 + e(1/5))^3000 (2 + e(1/5))^3000",
+        "3^4000 e(1/3) 3^4000", "-3^4000 * -1", "e(t)^5 3^4000 e(-t) 3^4000",
+        f"e({10**400}*t)^2 3^4000", f"(e({10**400}*t) + 3^3000)^2",
+    ])
+    def test_printable_product_parses(self, alg, text):
+        got = parse(text, alg)
+        assert isinstance(got, Scalar)
+        assert parse(got.render(), alg) == got
+
+
 class TestRoundTrip:
     @settings(deadline=None, max_examples=40)
     @given(st.data())

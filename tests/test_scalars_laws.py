@@ -12,7 +12,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qiso.scalars import Cyclo, Scalar, ThetaLin
+from qiso.scalars import ONE, Cyclo, Scalar, ThetaLin
 
 SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -125,3 +125,60 @@ def test_laws_at_conductor_27720():
     theta = Fraction(2, 3)
     assert (X * Y).specialize(theta) == X.specialize(theta) * Y.specialize(theta)
     assert (X + Y).specialize(theta) == X.specialize(theta) + Y.specialize(theta)
+
+
+def _e(r):
+    return Scalar.root(Fraction(r))
+
+
+# 1 and -1 built without being ONE: by conjugation, as products of rationals,
+# of phases e(s*t), and of roots of unity at conductors 3 and 6
+UNITS = [
+    ONE.conj(),
+    Scalar.rational(2) * Scalar.rational(Fraction(1, 2)),
+    Scalar.phase(1) * Scalar.phase(-1),
+    Scalar.phase(Fraction(2, 3)) * Scalar.exponential(ThetaLin(0, Fraction(-2, 3))),
+    _e(Fraction(1, 3)) * _e(Fraction(2, 3)),
+    _e(Fraction(1, 6)) * _e(Fraction(5, 6)),
+]
+MINUS_UNITS = [
+    (-ONE).conj(),
+    Scalar.rational(-2) * Scalar.rational(Fraction(1, 2)),
+    Scalar.phase(1) * -Scalar.phase(-1),
+    Scalar.exponential(ThetaLin(Fraction(1, 2), 1)) * Scalar.phase(-1),
+    _e(Fraction(1, 3)) * _e(Fraction(1, 6)),
+    _e(Fraction(1, 6)) * _e(Fraction(1, 3)) * ONE.conj(),
+]
+
+
+def test_units_are_not_the_shared_constant():
+    for u in UNITS:
+        assert u is not ONE and u == 1
+    for m in MINUS_UNITS:
+        assert m is not ONE and m == -1
+
+
+def _no_zero_term(x):
+    return all(not c.is_zero() for c in x.terms.values())
+
+
+@SETTINGS
+@given(scalars, st.sampled_from(UNITS))
+def test_product_with_one_by_value(x, u):
+    assert x * u == x and u * x == x
+    assert _no_zero_term(x * u) and _no_zero_term(u * x)
+
+
+@SETTINGS
+@given(scalars, st.sampled_from(MINUS_UNITS))
+def test_product_with_minus_one_by_value(x, m):
+    assert x * m == -x and m * x == -x
+    assert (x * m).render() == (-x).render()
+    assert _no_zero_term(x * m) and _no_zero_term(m * x)
+
+
+@SETTINGS
+@given(scalars, scalars)
+def test_products_hold_no_zero_term(x, y):
+    assert _no_zero_term(x * y)
+    assert _no_zero_term(x * y * ONE.conj())
