@@ -34,7 +34,10 @@ reduction step probes the subwords at each lhs length; at the leftmost match
 the earliest rule wins (an older lhs may contain a newer one).  The
 ambiguities of a new rule are read straight from dicts from the proper
 prefixes, suffixes and subwords of each lhs, with the overlap length or
-inclusion position, and resolved in rule order.
+inclusion position, and resolved in rule order.  The prefix and suffix dicts
+keep their rules in buckets by lhs length, so the overlaps above the cap are
+counted a bucket at a time.  Only completion reads these dicts, and a
+completed system no longer holds them.
 """
 
 from __future__ import annotations
@@ -140,11 +143,14 @@ class RuleSet:
         self.skipped = 0  # overlap ambiguities dropped above the cap
         self._lhs: dict[tuple, int] = {}  # lhs word -> position in rules
         self._lens: list[int] = []  # sorted distinct lhs lengths
-        # proper prefix / suffix / subword of some lhs -> positions of those rules
-        self._prefixes: dict[tuple, list[int]] = {}
-        self._suffixes: dict[tuple, list[int]] = {}
+        # the ambiguity index, which only completion reads: proper prefix /
+        # suffix of some lhs -> lhs length -> positions of those rules, and
+        # proper subword of some lhs -> positions of those rules
+        self._prefixes: dict[tuple, dict[int, list[int]]] = {}
+        self._suffixes: dict[tuple, dict[int, list[int]]] = {}
         self._subwords: dict[tuple, list[int]] = {}
         self._complete()
+        del self._prefixes, self._suffixes, self._subwords
 
     @property
     def capped(self) -> bool:
@@ -159,8 +165,8 @@ class RuleSet:
         self._lhs[lhs] = j
         self._lens = sorted({*self._lens, n})
         for k in range(1, n):
-            self._prefixes.setdefault(lhs[:k], []).append(j)
-            self._suffixes.setdefault(lhs[n - k :], []).append(j)
+            self._prefixes.setdefault(lhs[:k], {}).setdefault(n, []).append(j)
+            self._suffixes.setdefault(lhs[n - k :], {}).setdefault(n, []).append(j)
         for sub in {lhs[i : i + k] for k in range(1, n) for i in range(n - k + 1)}:
             self._subwords.setdefault(sub, []).append(j)
         return j
@@ -170,23 +176,30 @@ class RuleSet:
         events (p, kind, k): kind 0 overlaps (rule j, rule p) and kind 1
         overlaps (rule p, rule j) in k letters, kind 2 includes lhs(j) in
         lhs(p) at position k.  No other lhs lies inside lhs(j), which every
-        earlier rule has reduced.  Overlaps above the cap are only counted, and
-        a pair of monomial rules (both rhs zero) only gives zero."""
+        earlier rule has reduced.  Overlaps above the cap are only counted, a
+        bucket of one lhs length at a time, and a pair of monomial rules (both
+        rhs zero) only gives zero."""
         rules, cap = self.rules, self.cap
         lhs, mono = rules[j].lhs, not rules[j].rhs.t
         n = len(lhs)
         events = []
         for k in range(1, n):
-            # a proper suffix of lhs(j) starts lhs(p), or a proper prefix ends it
-            for kind, ps in ((0, self._prefixes.get(lhs[n - k :], ())),
-                             (1, self._suffixes.get(lhs[:k], ()))):
-                for p in ps:
-                    if kind and p == j:
+            # a proper suffix of lhs(j) starts lhs(p), or a proper prefix ends
+            # it; the overlap word has length len(lhs(p)) + n - k
+            for kind, by_len in ((0, self._prefixes.get(lhs[n - k :])),
+                                 (1, self._suffixes.get(lhs[:k]))):
+                if by_len is None:
+                    continue
+                for length, ps in by_len.items():
+                    # the self-overlap of rule j (the last position) is kind 0
+                    if kind and length == n and ps[-1] == j:
+                        ps = ps[:-1]
+                    if length > cap - n + k:
+                        self.skipped += len(ps)
                         continue
-                    if len(rules[p].lhs) > cap - n + k:
-                        self.skipped += 1
-                    elif not (mono and not rules[p].rhs.t):
-                        events.append((p, kind, k))
+                    for p in ps:
+                        if not (mono and not rules[p].rhs.t):
+                            events.append((p, kind, k))
         for p in self._subwords.get(lhs, ()):
             if not (mono and not rules[p].rhs.t):
                 lp = rules[p].lhs

@@ -17,6 +17,16 @@ coordinates and reduce once by the sparse tail of Phi_m, and the inverse
 multiplies by Galois conjugates until the product is the rational norm.
 ``Cyclo.coords`` reads exact ``Fraction`` coordinates.
 
+Roots of unity are read by exponent.  The N = lcm(2, n) roots inside
+Q(zeta_n) of a conductor n <= ``ROOTS_MAX_N`` form one shared row, built on
+first use, of values in the form above (the irrational ones tagged with
+their exponent k).  ``Cyclo.root`` returns a row's value, every irrational
+result equal to a tabled root is that shared value, and a product of two
+roots of one conductor is the root at (a + b) mod N, a negation at
+k + N/2, and a conjugate or an inverse at -k mod N: no polynomial product
+and no norm.  The values, and so every render, are those the general
+arithmetic gives.  Roots of larger conductors are ordinary values.
+
 ``Scalar`` exponent keys are ``int`` when integral and ``Fraction`` otherwise,
 so they hash and compare as the same rationals at the cost of an int.
 
@@ -213,6 +223,10 @@ class Cyclo:
         n = r.denominator
         if n == 1:
             return _ONE
+        if n <= ROOTS_MAX_N:
+            row = _roots(n)
+            # zeta_n^a is zeta_N^a, or zeta_2n^2a when n is odd
+            return row[r.numerator * len(row) // n % len(row)]
         return _make(n, _reduce(n, [0] * (r.numerator % n) + [1]), 1)
 
     # -- coordinates ---------------------------------------------------------
@@ -245,6 +259,8 @@ class Cyclo:
     def __neg__(self) -> "Cyclo":
         if self.n == 1:
             return _cyclo(1, (-self.c[0],), self.d)
+        if self.__class__ is _Root:
+            return _root_neg(self)
         return _cyclo(self.n, tuple(-v for v in self.c), self.d)
 
     def __sub__(self, other: "Cyclo") -> "Cyclo":
@@ -261,25 +277,41 @@ class Cyclo:
             return _scale(other, self.c[0], self.d)
         if m == 1:
             return _scale(self, other.c[0], other.d)
+        if n == m and self.__class__ is _Root and other.__class__ is _Root:
+            row = _ROOTS[n]
+            return row[(self.k + other.k) % len(row)]
         k = n * m // gcd(n, m)
         return _make(k, _mul(k, self.c, other.c, k // n, k // m), self.d * other.d)
+
+    def __radd__(self, other):
+        # Cyclo meets only Cyclo.  These reflected stubs keep a mixed
+        # operation with a _Root (a subclass) from looking them up in vain.
+        return NotImplemented
+
+    __rsub__ = __rmul__ = __radd__
 
     def conj(self) -> "Cyclo":
         # zeta -> zeta^-1 maps Z[zeta] onto itself, so the form stays lowest
         if self.n == 1:
             return self
+        if self.__class__ is _Root:  # a root's conjugate is its inverse
+            row = _ROOTS[self.n]
+            return row[-self.k % len(row)]
         return _cyclo(self.n, tuple(_galois(self.n, self.c, self.n - 1)), self.d)
 
     def inv(self) -> "Cyclo":
         """Field inverse (Cohen, GTM 138, section 4.3).  Multiplying x by its
         conjugates under one cyclic factor of Gal(Q(zeta_n)/Q) = (Z/n)^* after
         another ends in the rational norm N(x); the conjugates multiplied in,
-        over N(x), are 1/x."""
+        over N(x), are 1/x.  A tabled root is inverted by its exponent."""
         n = self.n
         if n == 1:
             if not self.c[0]:
                 raise ZeroDivisionError("inverse of zero cyclotomic")
             return _rat(self.d, self.c[0])
+        if self.__class__ is _Root:
+            row = _ROOTS[n]
+            return row[-self.k % len(row)]
         y, cof = self.c, None
         for g, h in _unit_gens(n):
             z = part = _galois(n, y, g)
@@ -377,13 +409,19 @@ def _rat(a: int, b: int) -> Cyclo:
 
 
 def _lowest(n: int, p: list, d: int) -> Cyclo:
-    """The irrational sum p[k] zeta_n^k / d (integers, d > 0) in lowest terms."""
+    """The irrational sum p[k] zeta_n^k / d (integers, d > 0) in lowest terms;
+    a root of unity of a tabled conductor is the table's shared value."""
     if d != 1:
         g = gcd(d, *p)
         if g != 1:
             p = [v // g for v in p]
             d //= g
-    return _cyclo(n, tuple(p), d)
+    c = tuple(p)
+    if d == 1:
+        x = _ROOT_AT.get((n, c))
+        if x is not None:
+            return x
+    return _cyclo(n, c, d)
 
 
 def _make(n: int, p: list, d: int) -> Cyclo:
@@ -398,8 +436,13 @@ def _scale(x: Cyclo, a: int, b: int) -> Cyclo:
     """The rational a/b (lowest terms, b > 0) times the irrational x."""
     if not a:
         return _ZERO
-    if a == 1 and b == 1:
-        return x
+    if b == 1:
+        if a == 1:
+            return x
+        if x.__class__ is _Root and a == -1:
+            return _root_neg(x)
+        if x.d == 1:  # in lowest terms, and a root only if x is one and a = -1
+            return _cyclo(x.n, tuple([a * v for v in x.c]), 1)
     return _lowest(x.n, [a * v for v in x.c], b * x.d)
 
 
@@ -419,6 +462,61 @@ def _cyclo_pow(x: Cyclo, k: int) -> Cyclo:
 
 _ZERO = _cyclo(1, (0,), 1)
 _ONE = _cyclo(1, (1,), 1)
+
+
+# ---------------------------------------------------------------------------
+# roots of unity by exponent
+# ---------------------------------------------------------------------------
+
+#: The largest conductor whose roots of unity are tabled.  The table holds
+#: one row of N = lcm(2, n) values for each conductor n <= ROOTS_MAX_N that
+#: has been used, so at most 2728 values in all, whatever is computed; a
+#: root of a larger conductor is an ordinary Cyclo.
+ROOTS_MAX_N = 60
+
+_ROOTS: dict[int, list] = {}  # conductor n -> [zeta_N^k for k in range(N)]
+_ROOT_AT: dict[tuple, "_Root"] = {}  # (n, coordinates) -> the irrational roots in _ROOTS
+
+
+class _Root(Cyclo):
+    """The root of unity zeta_N^k (N = lcm(2, n), so the roots inside
+    Q(zeta_n)) in the canonical form at conductor n that the general
+    arithmetic gives, which it also carries the exponent k of.  Products,
+    negations, conjugates and inverses of roots of one conductor are read
+    from that conductor's row by exponent."""
+
+    __slots__ = ("k",)
+
+
+def _roots(n: int) -> list:
+    """The row of conductor n (1 < n <= ROOTS_MAX_N), built on first use.  The
+    rationals 1 and -1 (k = 0 and k = N/2) are ordinary conductor-1 values."""
+    row = _ROOTS.get(n)
+    if row is None:
+        row, N = [], n if n % 2 == 0 else 2 * n
+        for k in range(N):
+            # for odd n, zeta_2n^k is zeta_n^(k/2) for even k and
+            # -zeta_n^((k+n)/2) for odd k
+            if n % 2 == 0 or k % 2 == 0:
+                p = [0] * (k * n // N) + [1]
+            else:
+                p = [0] * ((k + n) // 2) + [-1]
+            x = _make(n, _reduce(n, p), 1)
+            if x.n != 1:
+                c, x = x.c, object.__new__(_Root)
+                x.n, x.c, x.d, x.k = n, c, 1, k
+                _ROOT_AT[n, c] = x
+            row.append(x)
+        row[0] = _ONE
+        _ROOTS[n] = row
+    return row
+
+
+def _root_neg(x: _Root) -> Cyclo:
+    """-x for a tabled root x: zeta_N^(k + N/2)."""
+    row = _ROOTS[x.n]
+    N = len(row)
+    return row[(x.k + N // 2) % N]
 
 
 
@@ -602,7 +700,24 @@ class Scalar:
                     return self
                 if v == -1:
                     return -self
-        if len(t1) == 1:
+            if len(t1) == 1:
+                ((s1, c1),) = t1.items()
+                # nonzero field elements have a nonzero product: no zero test
+                if not s1:
+                    if c1.n == 1 and c1.d == 1:
+                        v = c1.c[0]
+                        if v == 1:
+                            return other
+                        if v == -1:
+                            return -other
+                    return _scalar({s2: c1 * c2})
+                if not s2:
+                    return _scalar({s1: c1 * c2})
+                s = s1 + s2
+                if s.__class__ is not int and s.denominator == 1:
+                    s = s.numerator
+                return _scalar({s: c1 * c2})
+        elif len(t1) == 1:
             ((s1, c1),) = t1.items()
             if not s1 and c1.n == 1 and c1.d == 1:
                 v = c1.c[0]
@@ -610,17 +725,6 @@ class Scalar:
                     return other
                 if v == -1:
                     return -other
-        if len(t1) == 1 and len(t2) == 1:
-            # nonzero field elements have a nonzero product: no zero test
-            if not s1:
-                s = s2
-            elif not s2:
-                s = s1
-            else:
-                s = s1 + s2
-                if s.__class__ is not int and s.denominator == 1:
-                    s = s.numerator
-            return _scalar({s: c1 * c2})
         out: dict = {}
         for s1, c1 in t1.items():
             for s2, c2 in t2.items():

@@ -326,6 +326,40 @@ class TestHaarTwistInvariance:
             ("haar-action-invariance", PASS, "h(lambda_(s,u)(x)) = h(x) on all monomials"),
         ]
 
+    def test_only_pairs_at_exponent_zero_reach_tau(self):
+        # why the check forms one product per monomial: a twisted product of
+        # two block monomials is zero (cross-block) or one term at exponent
+        # e1 + e2, where tau reads 0 unless e2 = -e1
+        ds = catalog.eight_block_model(Fraction(1, 3))
+        Jt = graded.j_double(graded.j_torus())
+        rng = range(-1, 2)
+        monos = [(k, (m, n)) for k in range(len(ds.blocks)) for m in rng for n in rng]
+        one = Scalar.one()
+        for m1 in monos:
+            a = Element(ds, {m1: one})
+            for m2 in monos:
+                b = Element(ds, {m2: one})
+                prod = graded.phased_product(
+                    a, b, lambda p, q: graded.twist_phase(p, Jt, q), ds.bidegree)
+                if m1[0] != m2[0]:
+                    assert prod.is_zero()
+                else:
+                    e = tuple(x + y for x, y in zip(m1[1], m2[1]))
+                    assert list(prod.t) == [(m1[0], e)]
+                    assert tau(prod, [Fraction(1, 8)] * 8).is_zero() == any(e)
+
+    def test_defect_is_one_where_tau_reads(self):
+        # so the row cannot fail on monomials: the pair that tau reads has
+        # bidegrees p and -p, and e(SIGMA p.Jt(-p)) = 1 because Jt is skew
+        ds = catalog.eight_block_model(Fraction(1, 3))
+        Jt = graded.j_double(graded.j_torus())
+        rng = range(-2, 3)
+        for k in range(len(ds.blocks)):
+            for e in ((m, n) for m in rng for n in rng):
+                p = ds.bidegree((k, e))
+                assert ds.bidegree((k, tuple(-x for x in e))) == tuple(-x for x in p)
+                assert graded.twist_phase(p, Jt, tuple(-x for x in p)) == Scalar.one()
+
     @pytest.mark.parametrize("weights", [[Fraction(1, 7)] * 8, [0] * 8, [1] * 8])
     def test_weights_must_sum_to_one(self, weights):
         ds = catalog.eight_block_model()

@@ -32,9 +32,9 @@ def _torus_b(theta, cap):
     return bp.algebra, bp.star_closed_relations, cap
 
 
-def _sphere_pres():
+def _sphere_pres(cap):
     pres = presfile.load_data("sphere.pres")
-    return pres.algebra, pres.relations, 4
+    return pres.algebra, pres.relations, cap
 
 
 def _membership(name):
@@ -57,7 +57,11 @@ SYSTEMS = {
     "torus-b-cap3-generic": lambda: _torus_b(None, 3),
     "torus-b-cap3-third": lambda: _torus_b(Fraction(1, 3), 3),
     "torus-b-cap4-generic": lambda: _torus_b(None, 4),
-    "sphere-pres-cap4": _sphere_pres,
+    # at cap 2 the sphere skips 40 overlaps of its length-2 lhs, self-overlaps
+    # among them; torus B skips them at lhs lengths 2 to 4
+    "sphere-pres-cap2": lambda: _sphere_pres(2),
+    "sphere-pres-cap3": lambda: _sphere_pres(3),
+    "sphere-pres-cap4": lambda: _sphere_pres(4),
     "circle-membership": lambda: _membership("circle"),
     "sphere-membership": lambda: _membership("sphere"),
     "torus-membership": lambda: _membership("torus"),
@@ -150,6 +154,28 @@ def test_skipped_counts_overlaps_above_cap(completed):
     assert new.skipped > 0 and new.capped is True
     new, _ = completed("sphere-pres-cap4")
     assert new.skipped == 0 and new.capped is False
+    new, _ = completed("sphere-pres-cap2")
+    assert (len(new.rules), new.skipped, new.capped) == (33, 40, True)
+
+
+def test_completed_system_keeps_no_ambiguity_index(completed):
+    # only completion reads the prefix, suffix and subword dicts; a
+    # completed system drops them and still reduces, certifies and builds
+    # its pending certificates
+    _, ref = completed("torus-b-cap3-third")
+    new = RuleSet(ref.algebra, ref.relations, ref.cap)
+    assert not any(hasattr(new, a) for a in ("_prefixes", "_suffixes", "_subwords"))
+    assert any(r._pending is not None for r in new.rules)
+    alg = new.algebra
+    for r in ref.rules[::7]:
+        # the last letter of an lhs, then the lhs, cut at the cap
+        elem = Element(alg, {(r.lhs[-1:] + r.lhs)[: new.cap]: Scalar.one()})
+        (nf, cert), (ref_nf, ref_cert) = (rs.normal_form(elem, with_cert=True) for rs in (new, ref))
+        assert nf.render() == ref_nf.render()
+        assert render_certificate(new.relations, cert, alg) == render_certificate(
+            ref.relations, ref_cert, alg)
+    assert signature(new) == signature(ref)
+    assert all(r._pending is None for r in new.rules)
 
 
 def test_torus_b_cap4_size(completed):

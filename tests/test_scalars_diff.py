@@ -507,3 +507,71 @@ def test_shared_constants_and_identities():
     assert new.ONE * x is x
     assert (x * new.ZERO).is_zero()
     assert x**1 == x
+
+
+# ---------------------------------------------------------------------------
+# roots of unity by exponent: the table against the general arithmetic
+# ---------------------------------------------------------------------------
+
+# conductors 2..60 are tabled; 63 is above the bound and must fall back
+ROOT_CONDUCTORS = [*range(2, new.ROOTS_MAX_N + 1), 63]
+
+
+def general(x):
+    """x as an ordinary Cyclo, whose arithmetic takes the general path
+    (polynomial products, Galois conjugates, the norm inverse)."""
+    return new._cyclo(x.n, x.c, x.d)
+
+
+def triple(x):
+    return x.n, x.c, x.d
+
+
+def signed_root(n, a, neg):
+    x = new.Cyclo.root(Fraction(a, n))
+    return -x if neg else x
+
+
+def test_root_fallback_above_the_bound():
+    assert 63 > new.ROOTS_MAX_N
+    for a in (1, 2, 62):
+        x = new.Cyclo.root(Fraction(a, 63))
+        assert type(x) is new.Cyclo
+        assert triple(x * x) == triple(general(x) * general(x))
+    assert 63 not in new._ROOTS
+
+
+@pytest.mark.parametrize("n", ROOT_CONDUCTORS)
+def test_root_rows(n):
+    # every root of every tabled conductor, read by exponent, is the value
+    # the general path gives, and so is its negation, conjugate and inverse
+    for a in range(2 * n):
+        r = Fraction(a, n)
+        x = new.Cyclo.root(r)
+        assert_cyclo(x, c_root(r))
+        for u in (x, -x):
+            for fast, slow in ((-u, -general(u)), (u.conj(), general(u).conj()),
+                               (u.inv(), general(u).inv())):
+                assert triple(fast) == triple(slow)
+            one = u * u.inv()
+            assert one is new._ONE if type(u) is new._Root else triple(one) == (1, (1,), 1)
+    assert (n in new._ROOTS) == (n <= new.ROOTS_MAX_N)
+
+
+root_products = st.sampled_from(ROOT_CONDUCTORS).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n - 1), st.booleans(), st.integers(0, n - 1), st.booleans()))
+
+
+@settings(deadline=None, max_examples=300)
+@given(root_products)
+def test_root_products(spec):
+    # products of two signed roots of one conductor by exponent, and of two
+    # of different conductors (e(a/n) with gcd(a, n) > 1) by the general path
+    n, a, s, b, t = spec
+    x, y = signed_root(n, a, s), signed_root(n, b, t)
+    assert triple(x * y) == triple(general(x) * general(y))
+    assert triple(y * x) == triple(general(y) * general(x))
+    o = c_mul(c_root(Fraction(a, n)), c_root(Fraction(b, n)))
+    if s != t:
+        o = c_neg(o)
+    assert_cyclo(x * y, o)
