@@ -295,8 +295,7 @@ class Cyclo:
         if self.n == 1:
             return self
         if self.__class__ is _Root:  # a root's conjugate is its inverse
-            row = _ROOTS[self.n]
-            return row[-self.k % len(row)]
+            return self.inv()
         return _cyclo(self.n, tuple(_galois(self.n, self.c, self.n - 1)), self.d)
 
     def inv(self) -> "Cyclo":
@@ -471,7 +470,8 @@ _ONE = _cyclo(1, (1,), 1)
 #: The largest conductor whose roots of unity are tabled.  The table holds
 #: one row of N = lcm(2, n) values for each conductor n <= ROOTS_MAX_N that
 #: has been used, so at most 2728 values in all, whatever is computed; a
-#: root of a larger conductor is an ordinary Cyclo.
+#: root of a larger conductor is an ordinary Cyclo.  A row holds only the
+#: values the general arithmetic gives, so filling one changes no result.
 ROOTS_MAX_N = 60
 
 _ROOTS: dict[int, list] = {}  # conductor n -> [zeta_N^k for k in range(N)]
@@ -479,9 +479,8 @@ _ROOT_AT: dict[tuple, "_Root"] = {}  # (n, coordinates) -> the irrational roots 
 
 
 class _Root(Cyclo):
-    """The root of unity zeta_N^k (N = lcm(2, n), so the roots inside
-    Q(zeta_n)) in the canonical form at conductor n that the general
-    arithmetic gives, which it also carries the exponent k of.  Products,
+    """The irrational root of unity zeta_N^k (N = lcm(2, n)) in the form the
+    general arithmetic gives at conductor n, with its exponent k.  Products,
     negations, conjugates and inverses of roots of one conductor are read
     from that conductor's row by exponent."""
 
