@@ -99,9 +99,21 @@ class Scenario:
     def parse(self, text: str) -> Element:
         """The text over the first parse algebra that reads all of it; when
         none does, the error of the one that read furthest.  Over the normal
-        form algebra, a power above the cap of ``nf_rules`` is refused."""
+        form algebra, a power above the cap of ``nf_rules`` is refused.
+
+        A parse that reads all of a text has looked up each of its names
+        other than ``e`` and ``t`` as a generator, so no algebra before the
+        first one with all those names reads it.  That algebra is tried
+        first, and the others only when it fails."""
         toks = tokenize(text)
         nf_cap = None if self.nf_rules is None else self.nf_rules.cap
+        names = {v for k, v in toks if k == "IDENT"} - {"e", "t"}
+        for alg in self.parse_algebras:
+            if names <= alg.index.keys():
+                try:
+                    return parse_element(toks, alg, self.theta, nf_cap if alg is self.nf_algebra else None)
+                except ParseError:
+                    break
         errors = []
         for alg in self.parse_algebras:
             try:

@@ -132,6 +132,7 @@ class _Parser:
             term = self.parse_tensterm()
             _check_combinable(acc, term)
             acc = acc + (-term if op == "-" else term)
+            _check_printable_sum(acc, term)
         return acc
 
     # tensterm := product ((x) product)*
@@ -395,6 +396,32 @@ def _check_printable_product(x: Scalar, y: Scalar):
         digits = size - math.log10(n) - math.log10(len(x.terms) * len(y.terms))
     if digits >= limit:
         raise ParseError(f"scalar product would print a number of more than {limit} digits")
+
+
+def _check_printable_sum(total, y):
+    """Refuse the sum ``total`` of the terms a parse has read so far, the
+    last of which is y, when a coefficient that y changed prints a numerator
+    or denominator longer than ``sys.get_int_max_str_digits()``: the rule of
+    :func:`_check_printable_power`.  A sum is formed in time linear in its
+    operands, so it is measured exactly, once formed.  A coefficient is read
+    only when its bits could reach the limit."""
+    limit = _digit_limit()
+    if not limit:
+        return
+    if isinstance(total, Scalar):
+        changed = (total,)
+    else:
+        words = total.ambient.one_terms() if isinstance(y, Scalar) else y.t
+        changed = [total.t[m] for m in words if m in total.t]
+    for x in changed:
+        if not x.terms or _bits(x) * math.log10(2) < limit:
+            continue
+        for c in x.terms.values():
+            for v in c.c:
+                g = math.gcd(v, c.d)
+                if max(abs(v), c.d) // g >= 10**limit:
+                    raise ParseError(
+                        f"scalar sum would print a number of more than {limit} digits")
 
 
 def _digit_limit() -> int:

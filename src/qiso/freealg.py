@@ -280,7 +280,7 @@ class Element:
     def render(self) -> str:
         if not self.t:
             return "0"
-        monos = sorted(self.t, key=_render_key, reverse=True)
+        monos = sorted(self.t, key=_render_key, reverse=True) if len(self.t) > 1 else self.t
         parts = []
         for m in monos:
             c = self.t[m]

@@ -13,9 +13,9 @@ returned.  A nonzero normal form only ever yields UNDECIDED (the cap may be
 too small), never a NO.
 
 Completion does only the work its rules need.  An S-element is a plain term
-dict (word -> nonzero Scalar), formed from each rule's negated rhs kept at
-hand, and reduced once by the kernel ``normal_form`` uses too; most reduce to
-zero.  A survivor becomes a rule that keeps what its certificate is built
+dict (word -> nonzero Scalar), formed in place from each rule's negated rhs
+kept at hand, and reduced once by the kernel ``normal_form`` uses too; most
+reduce to zero.  A survivor becomes a rule that keeps what its certificate is built
 from: the S-element's source, the reduction steps and the inverse lead
 coefficient.  (A rule that is an input relation as it stands has its
 one-term certificate (c^-1, r_i) at once.)  The certificate is built on
@@ -31,8 +31,10 @@ zero) only gives zero and is never formed.  ``RuleSet.skipped`` counts the overl
 Rules are found by word lookup, not by scanning.  Each new lhs is the lead
 of an element reduced by every earlier rule, so lhs words are unique.  A
 reduction step probes the subwords at each lhs length; at the leftmost match
-the earliest rule wins (an older lhs may contain a newer one).  The
-ambiguities of a new rule are read straight from dicts from the proper
+the earliest rule wins (an older lhs may contain a newer one).  A reduction
+resumes its scan: after a rewrite at position i, the words it produces are
+scanned from i - (longest lhs) + 1, since the prefix it kept held no match.
+The ambiguities of a new rule are read straight from dicts from the proper
 prefixes, suffixes and subwords of each lhs, with the overlap length or
 inclusion position, and resolved in rule order.  The prefix and suffix dicts
 keep their rules in buckets by lhs length, so the overlaps above the cap are
@@ -75,10 +77,10 @@ class Rule:
 
     __slots__ = ("lhs", "rhs", "neg", "_rep", "_pending")
 
-    def __init__(self, lhs, rhs: Element, rep):
+    def __init__(self, lhs, rhs: Element, rep, neg=None):
         self.lhs = lhs  # word
         self.rhs = rhs  # Element with monomials < lhs
-        self.neg = {m: -c for m, c in rhs.t.items()}
+        self.neg = {m: -c for m, c in rhs.t.items()} if neg is None else neg
         self._rep = rep
         self._pending = None  # (position, source, steps, ci) until rep is built
 
@@ -121,15 +123,6 @@ def _certify(rule: Rule):
 def _expand(steps):
     """The certificate of reduction steps (c, u, rule, v), over the input relations."""
     return [(c * s, u + ru, k, rv + v) for c, u, rule, v in steps for s, ru, k, rv in rule.rep]
-
-
-def _s_element(r1: Rule, y1, r2: Rule, x2, y2) -> dict:
-    """The S-element of the word lhs1.y1 == x2.lhs2.y2, rhs1.y1 - x2.rhs2.y2,
-    as a term dict with the terms and order that ``Element.__sub__`` gives."""
-    d = {m + y1: c for m, c in r1.rhs.t.items()}
-    for m, c in r2.neg.items():
-        _add_term(d, x2 + m + y2, c)
-    return d
 
 
 class RuleSet:
@@ -210,26 +203,24 @@ class RuleSet:
     def _complete(self):
         alg = self.algebra
         order_key = alg.order_key
-        counter = 0
+        rules = self.rules
+        # heap entries (len(lead), lead, counter, terms, src) sort as the
+        # order key (len(lead), lead) and then the push count
         queue: list = []
-
-        def push(terms, src):
-            nonlocal counter
-            if not terms:
-                return
-            lead = next(iter(terms)) if len(terms) == 1 else max(terms, key=order_key)
-            heapq.heappush(queue, (order_key(lead), counter, terms, src))
-            counter += 1
+        counter = 0
 
         for i, r in enumerate(self.relations):
             if r.deg() > self.cap:
                 raise DegreeOverflow(f"relation of degree {r.deg()} exceeds cap {self.cap}")
-            push(r.t, i)
+            if r.t:
+                lead = max(r.t, key=order_key)
+                heapq.heappush(queue, (len(lead), lead, counter, r.t, i))
+                counter += 1
 
         while queue:
-            _, _, terms, src = heapq.heappop(queue)
+            _, _, _, terms, src = heapq.heappop(queue)
             # most S-elements reduce to zero; only a survivor becomes a rule
-            terms, steps = self._reduce(list(terms.items()))
+            terms, steps = self._reduce(terms.items())
             if not terms:
                 continue
             lead = max(terms, key=order_key)
@@ -243,68 +234,86 @@ class RuleSet:
                     f"the relations generate the unit ideal: {Element(alg, terms).render()} = 0"
                 )
             ci = c.inv()
-            rhs = Element(alg)
-            rhs.t = {m: x * -ci for m, x in terms.items() if m != lead}
-            rule = Rule(lead, rhs, None)
+            nci = -ci
+            rhs, neg = Element(alg), {}
+            for m, x in terms.items():
+                if m != lead:
+                    rhs.t[m] = y = x * nci
+                    neg[m] = -y
+            rule = Rule(lead, rhs, None, neg)
             if steps or isinstance(src, tuple):
-                rule._pending = (len(self.rules), src, steps, ci)
+                rule._pending = (len(rules), src, steps, ci)
             else:  # an input relation as it stands: a one-term certificate
                 rule._rep = [(ci, (), src, ())]
             n = len(lead)
             for p, kind, k in self._resolve(self._add_rule(rule)):
-                other = self.rules[p]
+                other = rules[p]
                 lp = other.lhs
+                # the S-element rhs1.y1 - x2.rhs2.y2 of the word
+                # lhs1.y1 == x2.lhs2.y2, in the terms and order that
+                # ``Element.__sub__`` gives
                 if kind == 0:  # lead.y == x.lp
-                    src = (rule, lp[k:], other, lead[: n - k], ())
+                    r1, y1, r2, x2, y2 = rule, lp[k:], other, lead[: n - k], ()
                 elif kind == 1:  # lp.y == x.lead
-                    src = (other, lead[k:], rule, lp[: len(lp) - k], ())
+                    r1, y1, r2, x2, y2 = other, lead[k:], rule, lp[: len(lp) - k], ()
                 else:  # lp == x.lead.y
-                    src = (other, (), rule, lp[:k], lp[k + n :])
-                push(_s_element(*src), src)
+                    r1, y1, r2, x2, y2 = other, (), rule, lp[:k], lp[k + n :]
+                d = {m + y1: x for m, x in r1.rhs.t.items()} if y1 else dict(r1.rhs.t)
+                for m, x in r2.neg.items():
+                    _add_term(d, x2 + m + y2, x)
+                if d:
+                    top = max(d, key=order_key)
+                    heapq.heappush(queue, (len(top), top, counter, d, (r1, y1, r2, x2, y2)))
+                    counter += 1
 
     # -- reduction -----------------------------------------------------------
-    def _find(self, w):
-        """The leftmost match in w, and at it the earliest rule."""
-        lhs, n = self._lhs, len(w)
-        for i in range(n):
-            best = None
-            for L in self._lens:
-                if i + L > n:
-                    break
-                p = lhs.get(w[i : i + L])
-                if p is not None and (best is None or p < best):
-                    best = p
-            if best is not None:
-                return i, self.rules[best]
-        return None
+    def _reduce(self, terms):
+        """Fully reduce (word, nonzero Scalar) terms, leftmost match first and
+        at it the earliest rule.  Returns the reduced term dict and the steps
+        (c, u, rule, v), with original = reduced + sum(c * u.(lhs - rhs).v).
+        A product of nonzero scalars is nonzero, so no new term is zero.
 
-    def _reduce(self, work: list):
-        """Fully reduce a list of (word, nonzero Scalar) terms, leftmost match
-        first; the list is used up.  Returns the reduced term dict and the
-        steps (c, u, rule, v), with original = reduced + sum(c * u.(lhs - rhs).v).
-        A product of nonzero scalars is nonzero, so no new term is zero."""
-        find = self._find
+        A word's scan resumes where a match can first start.  After a rewrite
+        at position i, no match of the terms it produces starts left of
+        i - (longest lhs) + 1: such a match would lie inside the prefix the
+        rewrite kept, left of the leftmost match."""
+        lhs_at, lens, rules = self._lhs, self._lens, self.rules
+        back = lens[-1] - 1 if lens else 0
         done: dict = {}
         steps = []
+        # (word, coefficient, first position a match can start), last in
+        # first out
+        work = [(w, c, 0) for w, c in terms]
         while work:
-            w, c = work.pop()
-            hit = find(w)
-            if hit is None:
+            w, c, i = work.pop()
+            n = len(w)
+            best = None
+            while i < n:
+                for L in lens:
+                    if i + L > n:
+                        break
+                    p = lhs_at.get(w[i : i + L])
+                    if p is not None and (best is None or p < best):
+                        best = p
+                if best is not None:
+                    break
+                i += 1
+            if best is None:
                 _add_term(done, w, c)
                 continue
-            i, rule = hit
+            rule = rules[best]
             u, v = w[:i], w[i + len(rule.lhs) :]
             steps.append((c, u, rule, v))
-            work.extend([(u + m + v, rc * c) for m, rc in rule.rhs.t.items()])
+            start = i - back if i > back else 0
+            work.extend([(u + m + v, rc * c, start) for m, rc in rule.rhs.t.items()])
         return done, steps
 
     # -- public API -------------------------------------------------------------
     def normal_form(self, elem: Element, with_cert=False):
-        if elem.deg() > self.cap:
-            raise DegreeOverflow(
-                f"degree {elem.deg()} input exceeds rewriting cap {self.cap}"
-            )
-        terms, steps = self._reduce(list(elem.t.items()))
+        deg = max(map(len, elem.t), default=0)
+        if deg > self.cap:
+            raise DegreeOverflow(f"degree {deg} input exceeds rewriting cap {self.cap}")
+        terms, steps = self._reduce(elem.t.items())
         nf = Element(self.algebra)
         nf.t = terms
         if with_cert:

@@ -71,6 +71,21 @@ class TestNf:
         assert captured.err.splitlines() == [
             f"error: scalar product would print a number of more than {sys.get_int_max_str_digits()} digits"]
 
+    @pytest.mark.parametrize("command", ["nf", "member"])
+    @pytest.mark.parametrize("text", [" + ".join(["9^4506"] * 12) + " + U", "9^4506 U + 9^4506 U"])
+    def test_unprintable_scalar_sum_is_refused(self, capsys, command, text):
+        # 9^4506 prints (4300 digits) and a sum of two does not: refused in
+        # qiso's words, not by Python's int-to-string error from rendering
+        assert main([command, "torus", text]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: scalar sum would print a number of more than {sys.get_int_max_str_digits()} digits"]
+
+    def test_printable_scalar_sum_prints(self, capsys):
+        assert main(["nf", "torus", "9^4506 - 9^4506 + 9^4506 U"]) == 0
+        assert capsys.readouterr().out == f"{9**4506} * U\n"
+
     def test_printable_scalar_product_prints(self, capsys):
         # 3^8000 has 3818 digits
         assert main(["nf", "torus", "3^4000 3^4000 U"]) == 0

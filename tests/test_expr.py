@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qiso.expr import ParseError, parse, parse_element
+from qiso import catalog
+from qiso.catalog import Scenario
+from qiso.expr import ParseError, parse, parse_element, tokenize
 from qiso.freealg import Element, FreeAlgebra, tensor
 from qiso.presfile import load_data
+from qiso.rewrite import RuleSet
 from qiso.scalars import Scalar, ThetaLin
 
 
@@ -189,6 +192,28 @@ class TestScalarProductLimit:
         assert parse(got.render(), alg) == got
 
 
+class TestScalarSumLimit:
+    # the rule of the power limit, on each sum a parse forms; 9^4506 has
+    # 4300 digits, and twelve of them 4302
+    @pytest.mark.parametrize("text", [
+        " + ".join(["9^4506"] * 12) + " + U", "9^4506 + 9^4506", "-9^4506 - 9^4506 + V",
+        "9^4506 U + 9^4506 U", "V + 9^4506 e(1/3) U + 9^4506 e(1/3) U",
+        # denominators 2^7200 and 3^4506 print, their product does not
+        "(1/2)^7200 + e(t) + (1/3)^4506",
+    ])
+    def test_unprintable_sum_is_refused(self, alg, text):
+        with pytest.raises(ParseError, match=r"^scalar sum would print a number of more than \d+ digits$"):
+            parse_element(text, alg)
+
+    @pytest.mark.parametrize("text", [
+        "9^4506 + U", "9^4506 - 9^4506 + 9^4506", "9^4506 U + 9^4506 V", "9^4506 + 9^4506 e(t)",
+        "9^4506 e(1/3) + 9^4506", "9^4506 - 1",
+    ])
+    def test_printable_sum_parses(self, alg, text):
+        got = parse_element(text, alg)
+        assert parse_element(got.render(), alg) == got
+
+
 class TestRoundTrip:
     @settings(deadline=None, max_examples=40)
     @given(st.data())
@@ -275,3 +300,104 @@ class TestGeneratorRuns:
             parse_element("U P", [alg, other])
         with pytest.raises(ParseError, match="^unknown generator 'W'$"):
             parse_element("U V^2 W", alg)
+
+
+# -- Scenario.parse: the algebra with every name first, then each in turn
+
+
+def _parse_each_in_turn(sc, text):
+    """The text over the first parse algebra that reads all of it; when none
+    does, the error of the one that read furthest: every algebra tried in
+    order, as ``Scenario.parse`` did before it tried one first."""
+    toks = tokenize(text)
+    nf_cap = None if sc.nf_rules is None else sc.nf_rules.cap
+    errors = []
+    for alg in sc.parse_algebras:
+        try:
+            return parse_element(toks, alg, sc.theta, nf_cap if alg is sc.nf_algebra else None)
+        except ParseError as exc:
+            errors.append(exc)
+    raise max(errors, key=lambda exc: exc.pos)
+
+
+def _overlapping():
+    """Two parse algebras that both have x: a text over x alone is read
+    over the first, unless it has a power above the cap of the first."""
+    sc = Scenario("overlap")
+    sc.parse_algebras = [FreeAlgebra(["x", "y"]), FreeAlgebra(["x", "z"])]
+    sc.nf_algebra = sc.parse_algebras[0]
+    sc.nf_rules = RuleSet(sc.nf_algebra, [], 8)
+    return sc
+
+
+_SCENARIOS = {
+    **{(name, theta): (lambda name=name, theta=theta: catalog.build(name, theta))
+       for name in catalog.BUILDERS for theta in (None, Fraction(1, 3))},
+    ("overlap", None): _overlapping,
+}
+_BUILT = {}
+
+
+def _scenario(key):
+    if key not in _BUILT:
+        _BUILT[key] = _SCENARIOS[key]()
+    return _BUILT[key]
+
+
+def _outcome(read, sc, text):
+    try:
+        got = read(text)
+    except Exception as exc:  # compared by type, message and token position
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    return [alg is got.ambient for alg in sc.parse_algebras], [(w, c.render()) for w, c in got.t.items()]
+
+
+_SCALAR_ITEMS = ["2", "1/2", "0", "e(1/3)", "e(t)", "e(-2*t)", "t", "e", "(2 + e(1/5))"]
+_ERROR_ITEMS = ["W", "foo", "^", ")", "(", "e(", "1/0", "(x)", "+ +", "²"]
+_SUFFIXES = ["", "", "", "*", "'", "^2", "^-1", "^9", "^30"]
+
+
+@st.composite
+def _texts(draw, sc):
+    """A text over one parse algebra's names, or over all of them, with
+    scalars, names no algebra has, powers above the cap and syntax errors."""
+    algebras = sc.parse_algebras
+    names = sorted({n for alg in algebras for n in alg.names})
+    if draw(st.booleans()):
+        names = draw(st.sampled_from(algebras)).names
+    items = st.one_of(
+        st.tuples(st.sampled_from(names), st.sampled_from(_SUFFIXES)).map("".join),
+        st.sampled_from(_SCALAR_ITEMS),
+        st.sampled_from(_ERROR_ITEMS) if draw(st.booleans()) else st.sampled_from(names),
+    )
+    terms = draw(st.lists(st.lists(items, min_size=1, max_size=4).map(" ".join), min_size=1, max_size=3))
+    return "".join(t + draw(st.sampled_from([" + ", " - "])) for t in terms[:-1]) + terms[-1]
+
+
+class TestScenarioParse:
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    @pytest.mark.parametrize("key", sorted(_SCENARIOS, key=str))
+    def test_same_as_each_algebra_in_turn(self, key, data):
+        sc = _scenario(key)
+        text = data.draw(_texts(sc))
+        assert _outcome(sc.parse, sc, text) == _outcome(lambda t: _parse_each_in_turn(sc, t), sc, text), text
+
+    @pytest.mark.parametrize("text, first", [
+        ("x", True), ("2 x^2 + e(1/3)", True), ("x y", True), ("x z", False), ("z x* - 1", False),
+        ("x^9", False), ("x^8 + x^30", False),
+    ])
+    def test_names_both_algebras_have(self, text, first):
+        sc = _overlapping()
+        got = sc.parse(text)
+        assert got.ambient is sc.parse_algebras[0 if first else 1]
+        assert got == _parse_each_in_turn(sc, text)
+
+    @pytest.mark.parametrize("text", ["x y z", "x z y^", "y + z", "x^-", "x^9 y", "x^9 + z^9 + W"])
+    def test_error_of_the_algebra_read_furthest(self, text):
+        sc = _overlapping()
+        with pytest.raises(ParseError) as got:
+            sc.parse(text)
+        with pytest.raises(ParseError) as want:
+            _parse_each_in_turn(sc, text)
+        assert (str(got.value), got.value.pos) == (str(want.value), want.value.pos)
