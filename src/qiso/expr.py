@@ -9,6 +9,11 @@ formal parameter ``t``, rational constants, parentheses, and ``(x)`` as the
 tensor separator.
 
 Example: ``A1* A1 + B1* B1 - 1`` or ``U (x) A1 + e(-t) * V (x) B1``.
+
+:func:`tokenize` reads a text once; the parser reads its tokens by index.
+A run of generator factors is read in one loop, one name lookup per
+generator, into one word, and a sum adds its terms to its own accumulator
+in place, in time linear in its length.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import math
 import sys
 from fractions import Fraction
 
-from .freealg import Element, same_ambient, tensor
+from .freealg import Element, _add_term, same_ambient, tensor
 from .scalars import ONE, Scalar, ThetaLin
 
 Frac = Fraction
@@ -45,58 +50,56 @@ def tokenize(text: str) -> list:
     prev_end = -2  # end index of previous token
     while i < n:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("(x)", i):
-            toks.append(("TENSOR", "(x)"))
-            prev_end = i + 3
-            i += 3
-            continue
         if ch.isalpha() or ch == "_":
-            j = i
+            j = i + 1
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             toks.append(("IDENT", text[i:j]))
-            prev_end = j
-            i = j
+            prev_end = i = j
+            continue
+        if ch.isspace():
+            i += 1
             continue
         if ch in _DIGITS:
-            j = i
+            j = i + 1
             while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(("INT", int(text[i:j])))
-            prev_end = j
-            i = j
+            prev_end = i = j
+            continue
+        if ch == "(" and text.startswith("(x)", i):
+            toks.append(("TENSOR", "(x)"))
+            prev_end = i = i + 3
             continue
         if ch == "*":
-            attached = (
-                i == prev_end
-                and toks
-                and (toks[-1][0] in ("IDENT", "ADJ") or toks[-1] == ("SYM", ")"))
-            )
+            # only a SYM token has the value ')'
+            attached = i == prev_end and toks and (toks[-1][0] in ("IDENT", "ADJ") or toks[-1][1] == ")")
             toks.append(("ADJ" if attached else "SYM", "*"))
-            prev_end = i + 1
-            i += 1
-            continue
-        if ch == "'":
+        elif ch == "'":
             toks.append(("ADJ", "'"))
-            prev_end = i + 1
-            i += 1
-            continue
-        if ch in _SYMBOLS:
+        elif ch in _SYMBOLS:
             toks.append(("SYM", ch))
-            prev_end = i + 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r} at position {i}")
+        else:
+            raise ParseError(f"unexpected character {ch!r} at position {i}")
+        prev_end = i = i + 1
     return toks
 
 
 # -- parser ------------------------------------------------------------------
 
+_END = (None, None)  # the token after the last one, as errors name it
+
 
 class _Parser:
+    """Recursive descent over ``toks``, a token list that ends in ``_END``.
+    Each rule reads the token at ``pos`` by index and takes it by moving
+    ``pos`` past it, so ``pos`` is the number of tokens taken.  No rule
+    takes ``_END`` without raising, so reads stay inside the list.
+
+    Only a SYM token has the value ``(``, so ``toks[i + 1][1] == "("``
+    after an IDENT ``e`` is the test for ``e(``, a scalar and not a
+    generator."""
+
     def __init__(self, toks, algebras, theta, cap):
         self.toks = toks
         self.pos = 0
@@ -104,45 +107,58 @@ class _Parser:
         self.theta = theta
         self.cap = cap
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
-    def take(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
     def expect(self, kind, value=None):
-        k, v = self.take()
+        k, v = self.toks[self.pos]
+        self.pos += 1
         if k != kind or (value is not None and v != value):
             raise ParseError(f"expected {value or kind}, got {v!r}")
         return v
 
     # expr := ['-'] tensterm (('+'|'-') tensterm)*
     def parse_expr(self):
-        neg = False
-        if self.peek() == ("SYM", "-"):
-            self.take()
-            neg = True
+        toks = self.toks
+        k, v = toks[self.pos]
+        neg = k == "SYM" and v == "-"
+        if neg:
+            self.pos += 1
         acc = self.parse_tensterm()
         if neg:
             acc = -acc
-        while self.peek() in (("SYM", "+"), ("SYM", "-")):
-            _, op = self.take()
+        own = False  # whether acc is an element made here, which terms are added to in place
+        while True:
+            k, op = toks[self.pos]
+            if k != "SYM" or (op != "+" and op != "-"):
+                return acc
+            self.pos += 1
             term = self.parse_tensterm()
             _check_combinable(acc, term)
-            acc = acc + (-term if op == "-" else term)
+            if isinstance(acc, Element) and isinstance(term, Element):
+                # acc + term would copy acc for every term: a sum of n terms
+                # would take time quadratic in n
+                if not own:
+                    acc, own = Element(acc.ambient, acc.t), True
+                t = acc.t
+                if op == "-":
+                    for m, c in term.t.items():
+                        _add_term(t, m, -c)
+                else:
+                    for m, c in term.t.items():
+                        _add_term(t, m, c)
+            else:
+                acc = acc + (-term if op == "-" else term)
+                own = isinstance(acc, Element)
             _check_printable_sum(acc, term)
-        return acc
 
     # tensterm := product ((x) product)*
     def parse_tensterm(self):
-        parts = [self.parse_product()]
-        while self.peek()[0] == "TENSOR":
-            self.take()
+        toks = self.toks
+        first = self.parse_product()
+        if toks[self.pos][0] != "TENSOR":
+            return first
+        parts = [first]
+        while toks[self.pos][0] == "TENSOR":
+            self.pos += 1
             parts.append(self.parse_product())
-        if len(parts) == 1:
-            return parts[0]
         if len(parts) != len(self.algebras):
             raise ParseError(
                 f"{len(parts)} tensor factors for {len(self.algebras)} algebras"
@@ -154,16 +170,20 @@ class _Parser:
 
     # product := factor+   ('*' as explicit separator also allowed)
     def parse_product(self):
+        toks = self.toks
         acc = None
         while True:
-            k, v = self.peek()
-            if k == "SYM" and v == "*":
-                self.take()
-                continue
-            if k == "IDENT" and not self._at_call():
-                f = self.parse_word()
-            elif k in ("IDENT", "INT") or (k == "SYM" and v == "("):
+            k, v = toks[self.pos]
+            if k == "IDENT":
+                if v == "e" and toks[self.pos + 1][1] == "(":
+                    f = self.parse_factor()
+                else:
+                    f = self.parse_word()
+            elif k == "INT" or (k == "SYM" and v == "("):
                 f = self.parse_factor()
+            elif k == "SYM" and v == "*":
+                self.pos += 1
+                continue
             else:
                 break
             if acc is None:
@@ -173,36 +193,49 @@ class _Parser:
                 _check_printable_products(acc, f)
                 acc = acc * f
         if acc is None:
-            raise ParseError(f"empty product near token {self.peek()!r}")
+            raise ParseError(f"empty product near token {toks[self.pos]!r}")
         return acc
-
-    def _at_call(self):
-        """Whether the next tokens are ``e(``, a scalar and not a generator."""
-        return self.toks[self.pos : self.pos + 2] == [("IDENT", "e"), ("SYM", "(")]
 
     def parse_word(self):
         """A run of generator factors over one algebra, each with its adjoint
         marks and powers, as one word: a monomial with coefficient 1 (the
-        adjoint of a free word has coefficient 1)."""
-        alg, word = None, ()
+        adjoint of a free word has coefficient 1).  Each name is looked up
+        once, in the first algebra that has it."""
+        toks, i = self.toks, self.pos
+        alg, word = None, []
         while True:
-            k, v = self.peek()
-            if k == "SYM" and v == "*":
-                self.take()
-                continue
-            if k != "IDENT" or self._at_call():
-                return Element(alg, {word: Scalar.one()})
-            self.take()
-            f_alg = self._algebra_of(v)
-            w = (f_alg.letter(v),)
+            k, v = toks[i]
+            if k != "IDENT":
+                if k == "SYM" and v == "*":
+                    i += 1
+                    continue
+                break
+            if v == "e" and toks[i + 1][1] == "(":
+                break
+            i += 1
+            for f_alg in self.algebras:
+                gi = f_alg.index.get(v)
+                if gi is not None:
+                    break
+            else:
+                self.pos = i
+                raise ParseError(f"unknown generator {v!r}")
+            # the factor: its letter (2 * the generator's index), or its word w once powered
+            let, w = 2 * gi, None
             while True:
-                k, v = self.peek()
+                k, v = toks[i]
                 if k == "ADJ":
-                    self.take()
-                    w = f_alg.star_mono(w)[1]
+                    i += 1
+                    if w is None:
+                        let = f_alg.star_letter[let]
+                    else:
+                        w = f_alg.star_mono(w)[1]
                 elif k == "SYM" and v == "^":
-                    self.take()
+                    self.pos = i + 1
                     p = self.parse_power()
+                    i = self.pos
+                    if w is None:
+                        w = (let,)
                     if p < 0:  # a negative power is a power of the adjoint
                         w, p = f_alg.star_mono(w)[1], -p
                     self._check_power(len(w), p)
@@ -212,18 +245,25 @@ class _Parser:
             if alg is None:
                 alg = f_alg
             elif f_alg is not alg and not same_ambient(alg, f_alg):
+                self.pos = i
                 raise ParseError("cannot combine terms over different algebras")
-            word += w
+            if w is None:
+                word.append(let)
+            else:
+                word += w
+        self.pos = i
+        return Element(alg, {tuple(word): ONE})
 
     def parse_factor(self):
+        toks = self.toks
         a = self.parse_atom()
         while True:
-            k, v = self.peek()
+            k, v = toks[self.pos]
             if k == "ADJ":
-                self.take()
+                self.pos += 1
                 a = _star(a)
             elif k == "SYM" and v == "^":
-                self.take()
+                self.pos += 1
                 p = self.parse_power()
                 if isinstance(a, Element):
                     self._check_power(a.deg(), abs(p))
@@ -238,24 +278,23 @@ class _Parser:
 
     # power := ['-'] INT, after '^'
     def parse_power(self) -> int:
-        sign = 1
-        if self.peek() == ("SYM", "-"):
-            self.take()
-            sign = -1
-        return self.expect("INT") * sign
-
-    def _algebra_of(self, name):
-        for alg in self.algebras:
-            if name in alg.index:
-                return alg
-        raise ParseError(f"unknown generator {name!r}")
+        k, v = self.toks[self.pos]
+        if k == "SYM" and v == "-":
+            self.pos += 1
+            return -self.expect("INT")
+        return self.expect("INT")
 
     def parse_atom(self):
-        k, v = self.take()
+        toks = self.toks
+        k, v = toks[self.pos]
+        self.pos += 1
         if k == "INT":
-            return Scalar.rational(self.parse_ratio(v))
+            k, s = toks[self.pos]
+            if k == "SYM" and s == "/":
+                return Scalar.rational(self.parse_ratio(v))
+            return Scalar.rational(v)
         if k == "IDENT":  # only e(...): generators are read by parse_word
-            self.take()
+            self.pos += 1
             lin = self.parse_exponent()
             self.expect("SYM", ")")
             return self._exp_scalar(lin)
@@ -267,9 +306,10 @@ class _Parser:
 
     # ratio := INT ['/' INT], the numerator already taken
     def parse_ratio(self, num: int) -> Fraction:
-        if self.peek() != ("SYM", "/"):
+        k, v = self.toks[self.pos]
+        if k != "SYM" or v != "/":
             return Frac(num)
-        self.take()
+        self.pos += 1
         den = self.expect("INT")
         if den == 0:
             raise ParseError(f"zero denominator in {num}/{den}")
@@ -277,28 +317,33 @@ class _Parser:
 
     # exponent := ['-'] item (('+'|'-') item)*;  item := rat ['*' t] | t
     def parse_exponent(self):
+        toks = self.toks
         acc = ThetaLin(0, 0)
         sign = 1
-        if self.peek() == ("SYM", "-"):
-            self.take()
+        k, v = toks[self.pos]
+        if k == "SYM" and v == "-":
+            self.pos += 1
             sign = -1
         while True:
             acc = acc + self.parse_exp_item() * sign
-            k, v = self.peek()
+            k, v = toks[self.pos]
             if k == "SYM" and v in "+-":
-                self.take()
+                self.pos += 1
                 sign = 1 if v == "+" else -1
             else:
                 return acc
 
     def parse_exp_item(self):
-        k, v = self.take()
+        toks = self.toks
+        k, v = toks[self.pos]
+        self.pos += 1
         if k == "IDENT" and v == "t":
             return ThetaLin(0, 1)
         if k == "INT":
             q = self.parse_ratio(v)
-            if self.peek() == ("SYM", "*"):
-                self.take()
+            k, s = toks[self.pos]
+            if k == "SYM" and s == "*":
+                self.pos += 1
                 self.expect("IDENT", "t")
                 return ThetaLin(0, q)
             return ThetaLin(q, 0)
@@ -485,11 +530,12 @@ def parse(text: str | list, algebras, theta: Fraction | None = None, cap: int | 
     """
     if not isinstance(algebras, (list, tuple)):
         algebras = [algebras]
-    p = _Parser(tokenize(text) if isinstance(text, str) else text, list(algebras), theta, cap)
+    toks = tokenize(text) if isinstance(text, str) else text
+    p = _Parser([*toks, _END], list(algebras), theta, cap)
     try:
         out = p.parse_expr()
-        if p.pos != len(p.toks):
-            raise ParseError(f"trailing input at token {p.peek()!r}")
+        if p.pos != len(toks):
+            raise ParseError(f"trailing input at token {p.toks[p.pos]!r}")
     except ParseError as exc:
         exc.pos = p.pos
         raise

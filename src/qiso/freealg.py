@@ -48,6 +48,11 @@ class FreeAlgebra:
         self.selfadjoint = set(selfadjoint)
         self.index = {n: i for i, n in enumerate(self.names)}
         self._letter_names = [n + st for n in self.names for st in ("", "*")]
+        # the letter of each letter's adjoint; a selfadjoint generator's is itself
+        self.star_letter = [
+            2 * gi + (0 if n in self.selfadjoint else 1 - st)
+            for gi, n in enumerate(self.names) for st in (0, 1)
+        ]
 
     # -- monomial interface --------------------------------------------------
     def one_terms(self):
@@ -60,14 +65,8 @@ class FreeAlgebra:
         return None
 
     def star_mono(self, w):
-        out = []
-        for let in reversed(w):
-            gi, st = divmod(let, 2)
-            if self.names[gi] in self.selfadjoint:
-                out.append(2 * gi)
-            else:
-                out.append(2 * gi + (1 - st))
-        return Scalar.one(), tuple(out)
+        star = self.star_letter
+        return Scalar.one(), tuple([star[let] for let in reversed(w)])
 
     def deg(self, w):
         return len(w)

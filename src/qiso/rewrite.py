@@ -47,7 +47,7 @@ from __future__ import annotations
 import heapq
 
 from .freealg import Element, FreeAlgebra, TensorAlgebra, _add_term, same_ambient
-from .scalars import Scalar
+from .scalars import ONE, Scalar
 
 YES = "YES"
 UNDECIDED = "UNDECIDED"
@@ -121,8 +121,10 @@ def _certify(rule: Rule):
 
 
 def _expand(steps):
-    """The certificate of reduction steps (c, u, rule, v), over the input relations."""
-    return [(c * s, u + ru, k, rv + v) for c, u, rule, v in steps for s, ru, k, rv in rule.rep]
+    """The certificate of reduction steps (c, u, rule, v), over the input
+    relations; a rule coefficient that is the shared ``ONE`` keeps c."""
+    return [(c if s is ONE else c * s, u + ru, k, rv + v)
+            for c, u, rule, v in steps for s, ru, k, rv in rule.rep]
 
 
 class RuleSet:
@@ -370,15 +372,25 @@ def verify_certificate(p: Element, relations, cert) -> bool:
 
 
 def render_certificate(relations, cert, alg) -> str:
+    """The certificate as text: ``(c) u . rk . v`` per entry, joined by
+    ``+``, with a coefficient 1 and empty words left out.  Each distinct
+    coefficient, keyed by its exact terms, and each distinct word is
+    rendered once."""
+    coeffs, lefts, rights = {}, {(): ""}, {(): ""}
     parts = []
     for c, u, k, v in cert:
-        piece = f"r{k}"
-        if u:
-            piece = f"{alg.render_mono(u)} . {piece}"
-        if v:
-            piece = f"{piece} . {alg.render_mono(v)}"
-        cs = c.render()
-        parts.append(piece if cs == "1" else f"({cs}) {piece}")
+        key = tuple([(s, x.n, x.d, x.c) for s, x in c.terms.items()])
+        cs = coeffs.get(key)
+        if cs is None:
+            cs = c.render()
+            cs = coeffs[key] = "" if cs == "1" else f"({cs}) "
+        left = lefts.get(u)
+        if left is None:
+            left = lefts[u] = f"{alg.render_mono(u)} . "
+        right = rights.get(v)
+        if right is None:
+            right = rights[v] = f" . {alg.render_mono(v)}"
+        parts.append(f"{cs}{left}r{k}{right}")
     return " + ".join(parts) if parts else "0"
 
 

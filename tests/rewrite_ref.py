@@ -14,6 +14,10 @@ as the scan over per-letter buckets of rules, each step building its
 replacement as intermediate ``Element``s, and ``normal_form`` as the call of
 that ``_reduce`` with its certificate tracked or not.  Only the constructor
 and ``capped`` are shared with the package.
+
+It also freezes ``render_certificate`` as it was before it rendered each
+distinct coefficient and word once: every entry renders its coefficient and
+its words afresh (``tests/test_render_certificate_ref.py``).
 """
 
 from __future__ import annotations
@@ -163,3 +167,16 @@ class RefRuleSet(RuleSet):
         elif l1 == l2 and r1 is not r2:
             out.append(s_inclusion((), ()))
         return out
+
+
+def render_certificate(relations, cert, alg) -> str:
+    parts = []
+    for c, u, k, v in cert:
+        piece = f"r{k}"
+        if u:
+            piece = f"{alg.render_mono(u)} . {piece}"
+        if v:
+            piece = f"{piece} . {alg.render_mono(v)}"
+        cs = c.render()
+        parts.append(piece if cs == "1" else f"({cs}) {piece}")
+    return " + ".join(parts) if parts else "0"
