@@ -291,10 +291,6 @@ def canonical_set(elems) -> list:
     return sorted(monic(e).render() for e in elems if not e.is_zero())
 
 
-def same_relation_set(got, expected) -> bool:
-    return canonical_set(got) == canonical_set(expected)
-
-
 def alpha_monomial(act: ActionSpec, m: int, n: int) -> Element:
     """alpha(U^m V^n) = alpha(U)^m alpha(V)^n for the two source generators
     U, V of the action; a negative power is a power of the adjoint image.

@@ -14,18 +14,25 @@ Example: ``A1* A1 + B1* B1 - 1`` or ``U (x) A1 + e(-t) * V (x) B1``.
 A run of generator factors is read in one loop, one name lookup per
 generator, into one word, and a sum adds its terms to its own accumulator
 in place, in time linear in its length.
+
+One size budget holds every product and power a parse forms.  Integer
+bounds on its operands' exact sizes refuse it before it is computed when
+it could hold a number of more than ``_NUMBER_BITS`` bits or more than
+``_TOTAL_SIZE`` letters and coefficient bits in all (stage 1).  Once
+computed, a product, power or sum is refused when it prints a number of
+more than ``sys.get_int_max_str_digits()`` digits (stage 2).  Each refusal
+is a ParseError "<operation> exceeds the size budget: <limit>".
 """
 
 from __future__ import annotations
 
-import math
+import functools
 import sys
 from fractions import Fraction
+from math import gcd, lcm
 
 from .freealg import Element, _add_term, same_ambient, tensor
-from .scalars import ONE, Scalar, ThetaLin
-
-Frac = Fraction
+from .scalars import ONE, Cyclo, Scalar, ThetaLin
 
 
 class ParseError(ValueError):
@@ -147,7 +154,7 @@ class _Parser:
             else:
                 acc = acc + (-term if op == "-" else term)
                 own = isinstance(acc, Element)
-            _check_printable_sum(acc, term)
+            _check_sum(acc, term)
 
     # tensterm := product ((x) product)*
     def parse_tensterm(self):
@@ -190,8 +197,7 @@ class _Parser:
                 acc = f
             else:
                 _check_combinable(acc, f)
-                _check_printable_products(acc, f)
-                acc = acc * f
+                acc = _product(acc, f)
         if acc is None:
             raise ParseError(f"empty product near token {toks[self.pos]!r}")
         return acc
@@ -237,9 +243,10 @@ class _Parser:
                     if w is None:
                         w = (let,)
                     if p < 0:  # a negative power is a power of the adjoint
-                        w, p = f_alg.star_mono(w)[1], -p
-                    self._check_power(len(w), p)
-                    w = w * p
+                        w = f_alg.star_mono(w)[1]
+                    self._check_power(len(w), abs(p))
+                    _bound(f"power ^{p}", 1, len(word) + len(w) * abs(p), 1, 1)
+                    w = w * abs(p)
                 else:
                     break
             if alg is None:
@@ -308,12 +315,12 @@ class _Parser:
     def parse_ratio(self, num: int) -> Fraction:
         k, v = self.toks[self.pos]
         if k != "SYM" or v != "/":
-            return Frac(num)
+            return Fraction(num)
         self.pos += 1
         den = self.expect("INT")
         if den == 0:
             raise ParseError(f"zero denominator in {num}/{den}")
-        return Frac(num, den)
+        return Fraction(num, den)
 
     # exponent := ['-'] item (('+'|'-') item)*;  item := rat ['*' t] | t
     def parse_exponent(self):
@@ -362,144 +369,105 @@ def _star(x):
 
 
 def _power(x, p: int):
-    if isinstance(x, Scalar):
-        if p < 0 and not x.is_unit():
-            raise ParseError(f"negative power of the non-invertible scalar {x.render()}")
-        _check_printable_power(x, p)
-        return x**p
+    """x^p; for p < 0, the power -p of a scalar's inverse or an element's adjoint.
+    Stage 1 bounds k-fold products of terms reduced once, so the bound does not
+    compound per squaring; a root of unity (an algebraic integer times its
+    conjugate is 1) stays a root."""
+    if p < 0 and isinstance(x, Scalar) and not x.is_unit():
+        raise ParseError(f"negative power of the non-invertible scalar {x.render()}")
     if p < 0:
-        return x.star() ** (-p)
-    return x**p
-
-
-def _check_printable_power(x: Scalar, p: int):
-    """Refuse x^p, before it is computed, when a numerator or denominator of
-    the result would be longer than ``sys.get_int_max_str_digits()``, so the
-    result could not be printed.
-
-    A negative power is the power k = -p of the inverse.  A rational a/b in
-    lowest terms gives |a|^k and b^k, whose lengths are exact.  Any other
-    x^k gets a lower bound: at every real t, a scalar with m' terms over
-    Q(zeta_n) whose printed coordinates are at most H is at most m' * n * H
-    in modulus, and x^k has m' <= (k + 1)^(m - 1) terms for the m terms of
-    x.  |x| is read at t = 0 and at t = sqrt(2) (:func:`_log10_sizes`)."""
-    limit = _digit_limit()
-    if not limit:
-        return
-    k = p
-    if k < 0:
-        x, k = x.inv(), -k
-    if x.is_rational():
-        q = x.rational_value()
-        digits = k * math.log10(max(abs(q.numerator), q.denominator))
+        x = x.inv() if isinstance(x, Scalar) else x.star()
+    k, (t, w, d, _, s, n) = abs(p), _sizes(x)
+    v = x if isinstance(x, Scalar) else next(iter(x.t.values()), ONE)
+    if t == 1 and d == 1 and v * v.conj() == ONE:
+        terms, l = 1, _root_norm(n)
+    elif (max(d, s).bit_length() - 1) * k >= _NUMBER_BITS:  # refused uncomputed; t <= s
+        _refuse(f"power ^{p}", f"a number of more than {_NUMBER_BITS} bits")
     else:
-        m = len(x.terms)
-        digits = (k * max(_log10_sizes(x)) - math.log10(_conductor(x))
-                  - (m - 1) * math.log10(k + 1))
-    if digits >= limit:
-        raise ParseError(f"scalar power ^{p} would print a number of more than {limit} digits")
+        terms, d, l = t**k, d**k, s**k * _root_norm(n)
+    if isinstance(x, Scalar) and t:  # squared last: a term per pair of terms of x^h, h = ceil(k/2)
+        h, m, lo = (k + 1) // 2, lcm(*[Fraction(e).denominator for e in x.terms]), min(x.terms)
+        steps = [int((e - lo) * m) for e in x.terms]  # x^h has h * span + 1 exponents at most
+        terms = min(t**h, h * max(steps) // (gcd(*steps) or 1) + 1) ** 2
+    _bound(f"power ^{p}", terms, k * w, d, l)
+    return _printable(f"power ^{p}", x**k)
 
 
-def _check_printable_products(x, y):
-    """Refuse the product x * y of two parsed factors (scalars or elements),
-    before it is computed, when one of the scalar products it forms could
-    not be printed (:func:`_check_printable_product`).  A product with the
-    shared ``ONE``, the coefficient of every word a parse reads, is its
-    other factor and is passed at once."""
-    xs = (x,) if isinstance(x, Scalar) else x.t.values()
-    ys = (y,) if isinstance(y, Scalar) else y.t.values()
-    for a in xs:
-        for b in ys:
-            if a is not ONE and b is not ONE:
-                _check_printable_product(a, b)
+def _product(x, y):
+    """x * y.  A scalar times a word (coefficient ONE) only sets its coefficient.
+    Else stage 1 counts a term per pair of terms, at most min(tx, ty) pairs in
+    one, each a sum of roots of unity reduced once (or scaled by a rational)."""
+    e = y if isinstance(x, Scalar) else x
+    if isinstance(x, Scalar) is not isinstance(y, Scalar) and len(e.t) == 1 and ONE in e.t.values():
+        return x * y
+    tx, wx, dx, lx, _, nx = _sizes(x)
+    ty, wy, dy, ly, _, ny = _sizes(y)
+    r = 1 if (tx == 1 and nx == 1) or (ty == 1 and ny == 1) else _root_norm(lcm(nx, ny))
+    _bound("product", tx * ty, wx + wy, dx * dy, min(tx, ty) * lx * ly * r)
+    return _printable("product", x * y)
 
 
-def _check_printable_product(x: Scalar, y: Scalar):
-    """Refuse x * y, before it is computed, by the rule of
-    :func:`_check_printable_power`.  For rationals a/b and c/d in lowest
-    terms the product is (a/g)(c/h) over (b/h)(d/g) with g = gcd(a, d) and
-    h = gcd(c, b), whose lengths are exact.  Any other product has at most
-    m * m' terms for the m and m' terms of x and y, and |xy| = |x||y|.
-
-    Neither bound can reach the limit when the bits of the largest
-    coordinates or denominators of x and y, and the conductor n, satisfy
-    (bits(x) + bits(y)) * log10(2) + log10(n) < limit, so such factors are
-    passed without reading a size."""
-    limit = _digit_limit()
-    if not limit or not x.terms or not y.terms:
-        return
-    n = math.lcm(_conductor(x), _conductor(y))
-    if (_bits(x) + _bits(y)) * math.log10(2) + math.log10(n) < limit:
-        return
-    if n == 1 and x.is_rational() and y.is_rational():
-        p, q = x.rational_value(), y.rational_value()
-        g, h = math.gcd(p.numerator, q.denominator), math.gcd(q.numerator, p.denominator)
-        digits = max(math.log10(abs(p.numerator) // g) + math.log10(abs(q.numerator) // h),
-                     math.log10(p.denominator // h) + math.log10(q.denominator // g))
-    else:
-        size = max(a + b for a, b in zip(_log10_sizes(x), _log10_sizes(y)))
-        digits = size - math.log10(n) - math.log10(len(x.terms) * len(y.terms))
-    if digits >= limit:
-        raise ParseError(f"scalar product would print a number of more than {limit} digits")
-
-
-def _check_printable_sum(total, y):
-    """Refuse the sum ``total`` of the terms a parse has read so far, the
-    last of which is y, when a coefficient that y changed prints a numerator
-    or denominator longer than ``sys.get_int_max_str_digits()``: the rule of
-    :func:`_check_printable_power`.  A sum is formed in time linear in its
-    operands, so it is measured exactly, once formed.  A coefficient is read
-    only when its bits could reach the limit."""
-    limit = _digit_limit()
-    if not limit:
-        return
-    if isinstance(total, Scalar):
-        changed = (total,)
-    else:
+def _check_sum(total, y):
+    """Stage 2 on the coefficients of the sum ``total`` that its last term y changed."""
+    if isinstance(total, Element):
         words = total.ambient.one_terms() if isinstance(y, Scalar) else y.t
-        changed = [total.t[m] for m in words if m in total.t]
-    for x in changed:
-        if not x.terms or _bits(x) * math.log10(2) < limit:
-            continue
-        for c in x.terms.values():
-            for v in c.c:
-                g = math.gcd(v, c.d)
-                if max(abs(v), c.d) // g >= 10**limit:
-                    raise ParseError(
-                        f"scalar sum would print a number of more than {limit} digits")
+        total = [total.t[m] for m in words if m in total.t]
+    _printable("sum", total)
 
 
-def _digit_limit() -> int:
-    """Python's limit on the digits of a printed int; 0 when there is none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+# -- size budget ---------------------------------------------------------------
+
+_NUMBER_BITS = 30_000  # about twice the 4300 digits Python prints by default
+_TOTAL_SIZE = 1 << 21  # letters and coefficient bits over all terms
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # Python's print limit; 0: none
 
 
-def _bits(x: Scalar) -> int:
-    """The bit length of the largest coordinate or denominator of x."""
-    return max(v.bit_length() for c in x.terms.values() for v in (c.d, *c.c))
+def _refuse(op: str, limit: str):
+    raise ParseError(f"{op} exceeds the size budget: {limit}")
 
 
-def _conductor(x: Scalar) -> int:
-    """The lcm of the conductors of the coefficients of x."""
-    return math.lcm(*(c.n for c in x.terms.values()))
+def _bound(op: str, terms: int, letters: int, d: int, l: int):
+    """Stage 1: refuse op if a result of ``terms`` terms of ``letters`` letters, with
+    coordinates of l1 norm l over a denominator d, would be over the budget."""
+    if max(d, l).bit_length() > _NUMBER_BITS:
+        _refuse(op, f"a number of more than {_NUMBER_BITS} bits")
+    if terms * (letters + d.bit_length() + l.bit_length()) > _TOTAL_SIZE:
+        _refuse(op, f"more than {_TOTAL_SIZE} letters and coefficient bits")
 
 
-def _log10_sizes(x: Scalar) -> list:
-    """log10 |x(t)| at t = 0 and at t = sqrt(2), where no nonzero scalar
-    vanishes (e(sqrt(2)/d) is transcendental); -inf where the float sum
-    reads 0, and at sqrt(2) where an exponent of e(s*t) is too large for a
-    float.  x is first divided by a power of 2 that brings every coordinate
-    into float range, and the sizes are corrected for it."""
-    bits = max(v.bit_length() - c.d.bit_length() for c in x.terms.values() for v in c.c)
-    shift = max(0, bits - 1000)
-    if shift:
-        x = x * Scalar.rational(Frac(1, 1 << shift))
-    sizes = [abs(sum(c.numeric() for c in x.terms.values()))]  # every e(s*0) is 1
-    try:
-        sizes.append(abs(x.numeric(2**0.5)))
-    except OverflowError:
-        sizes.append(0.0)
-    return [math.log10(size) + shift * math.log10(2) if size else -math.inf for size in sizes]
+def _printable(op: str, x):
+    """Stage 2: x, the result of op (a scalar, an element or scalars), unless it prints
+    a numerator or denominator of more than L digits, so of more than 3L bits."""
+    limit = _digit_limit()
+    for v in (x,) if isinstance(x, Scalar) else x.t.values() if isinstance(x, Element) else x:
+        for c in v.terms.values():
+            for a in c.c:
+                m = max(abs(a), c.d)
+                if limit and m.bit_length() > 3 * limit and m // gcd(a, c.d) >= 10**limit:
+                    _refuse(op, f"a number of more than {limit} digits")
+    return x
+
+
+def _sizes(x) -> tuple:
+    """The terms of x (one per word and exponent of e(s*t)), its most letters
+    in a word, the lcm D of its coefficients' denominators, the largest and
+    total l1 norm of their integer coordinates over D, and their conductors' lcm."""
+    vals, w = ([x], 0) if isinstance(x, Scalar) else (x.t.values(), x.deg())
+    cs = [c for v in vals for c in v.terms.values()]
+    d = lcm(*[c.d for c in cs])
+    norms = [sum(map(abs, c.c)) * (d // c.d) for c in cs]
+    return len(cs), w, d, max(norms, default=0), sum(norms), lcm(*[c.n for c in cs])
+
+
+@functools.cache
+def _root_norm(n: int) -> int:
+    """R(n), the largest l1 norm of a root of unity's coordinates mod Phi_k, k | n:
+    roots summed with integer coefficients of l1 norm L reduce to at most L * R(n).
+    Exact up to n = 210 (60 ms); above, 2^n + 1 bounds it (|Phi_k|_1 <= 2^phi(k))."""
+    if n > 210:
+        return (1 << n) + 1
+    return max(sum(map(abs, Cyclo(k, [0] * j + [1]).c))
+               for k in range(1, n + 1) if n % k == 0 for j in range(k))
 
 
 def _check_combinable(x, y):
@@ -525,8 +493,9 @@ def parse(text: str | list, algebras, theta: Fraction | None = None, cap: int | 
     ``theta`` set, occurrences of the formal parameter inside e(..) are
     specialised to the given rational.  With ``cap`` set, a power whose
     degree exceeds it (``U^9`` or ``(U V)^5`` at cap 8) is a ParseError,
-    raised before the power is built.  Returns an Element, or a Scalar for
-    purely scalar expressions.
+    raised before the power is built; so is anything over the size budget
+    (``(1+e(t))^3000``, ``A1^3000000``).  Returns an Element, or a Scalar
+    for purely scalar expressions.
     """
     if not isinstance(algebras, (list, tuple)):
         algebras = [algebras]

@@ -776,9 +776,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_one(self) -> bool:
-        return self == ONE
-
     def is_rational(self) -> bool:
         t = self.terms
         return not t or (len(t) == 1 and 0 in t and t[0].n == 1)

@@ -9,7 +9,7 @@ them before the parser read its tokens by index: every token is read by a
 ``peek()`` and taken by a ``take()``, ``e(`` is tested by slicing the token
 list, a run's adjoint marks go through ``star_mono``, and a sum copies its
 accumulated element for each term (``acc + term``).  The checks it calls
-(the power cap, the printable-scalar limits, the algebra checks) and
+(the power cap, the size budget, the algebra checks) and
 ``ParseError`` are shared with the package.
 """
 
@@ -21,9 +21,9 @@ from qiso.expr import (
     ParseError,
     _as_element,
     _check_combinable,
-    _check_printable_products,
-    _check_printable_sum,
+    _check_sum,
     _power,
+    _product,
     _star,
 )
 from qiso.freealg import Element, same_ambient, tensor
@@ -132,7 +132,7 @@ class _Parser:
             term = self.parse_tensterm()
             _check_combinable(acc, term)
             acc = acc + (-term if op == "-" else term)
-            _check_printable_sum(acc, term)
+            _check_sum(acc, term)
         return acc
 
     # tensterm := product ((x) product)*
@@ -170,8 +170,7 @@ class _Parser:
                 acc = f
             else:
                 _check_combinable(acc, f)
-                _check_printable_products(acc, f)
-                acc = acc * f
+                acc = _product(acc, f)
         if acc is None:
             raise ParseError(f"empty product near token {self.peek()!r}")
         return acc

@@ -9,6 +9,11 @@ import qiso
 from qiso import catalog
 from qiso.cli import main
 
+_B_LETTERS = [n + s for n in ["A1", "A2", "B1", "B2", "C1", "C2", "D1", "D2"] for s in ("", "*")]
+_B_WORDS = [f"{a} {b} {c}" for a in _B_LETTERS for b in _B_LETTERS for c in _B_LETTERS]
+# a 1000-word sum times a 2000-word sum, about 37 KB of text: 2 million products of words
+_WORD_SUMS = f"({' + '.join(_B_WORDS[:1000])}) ({' + '.join(_B_WORDS[1000:3000])})"
+
 
 class TestNf:
     def test_torus_exchange(self, capsys):
@@ -57,19 +62,19 @@ class TestNf:
         captured = capsys.readouterr()
         assert captured.out == ""
         (line,) = captured.err.splitlines()
-        assert line.startswith("error: scalar power ^") and line.endswith(" digits")
+        assert line.startswith("error: power ^") and " exceeds the size budget: " in line
 
     @pytest.mark.parametrize("command", ["nf", "member"])
     @pytest.mark.parametrize("text", ["3^4000 3^4000 3^4000 U", "(3^4000 U) (3^4000 V) 3^4000"])
     def test_unprintable_scalar_product_is_refused(self, capsys, command, text):
         # each factor prints; their product would not, and is refused in
-        # qiso's words before it is computed, not by Python's int-to-string
-        # error from rendering
+        # qiso's words once computed, not by Python's int-to-string error
+        # from rendering
         assert main([command, "torus", text]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"error: scalar product would print a number of more than {sys.get_int_max_str_digits()} digits"]
+            f"error: product exceeds the size budget: a number of more than {sys.get_int_max_str_digits()} digits"]
 
     @pytest.mark.parametrize("command", ["nf", "member"])
     @pytest.mark.parametrize("text", [" + ".join(["9^4506"] * 12) + " + U", "9^4506 U + 9^4506 U"])
@@ -80,7 +85,34 @@ class TestNf:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"error: scalar sum would print a number of more than {sys.get_int_max_str_digits()} digits"]
+            f"error: sum exceeds the size budget: a number of more than {sys.get_int_max_str_digits()} digits"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("(1+e(t))^1500", "power ^1500 exceeds the size budget: more than 2097152 letters and coefficient bits"),
+        ("(1+e(t))^3000", "power ^3000 exceeds the size budget: more than 2097152 letters and coefficient bits"),
+        ("(1+e(t))^2000 (1+e(t))^2000 U",
+         "power ^2000 exceeds the size budget: more than 2097152 letters and coefficient bits"),
+        ("(1+e(t))^1000 (1+e(t))^1000 U",
+         "power ^1000 exceeds the size budget: more than 2097152 letters and coefficient bits"),
+        ("A1^3000000", "power ^3000000 exceeds the size budget: more than 2097152 letters and coefficient bits"),
+        (_WORD_SUMS, "product exceeds the size budget: more than 2097152 letters and coefficient bits"),
+    ], ids=["(1+e(t))^1500", "(1+e(t))^3000", "(1+e(t))^2000 (1+e(t))^2000 U", "(1+e(t))^1000 (1+e(t))^1000 U",
+            "A1^3000000", "1000x2000 words"])
+    def test_input_over_the_size_budget_is_one_error_line(self, capsys, text, message):
+        # refused before the power or product is formed: no 9 MB line, no
+        # 1.5 million terms
+        assert main(["nf", "torus", text]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("text, out", [
+        ("e(1/3)^1000000", "e(1/3)"), ("(3/2)^-9000", f"{2**9000}/{3**9000}"),
+        (" + ".join(["U V", "V U"] * 2000), "(2000*e(-t) + 2000) * U V"),
+    ], ids=["e(1/3)^1000000", "(3/2)^-9000", "4000-term sum"])
+    def test_input_within_the_size_budget_prints(self, capsys, text, out):
+        assert main(["nf", "torus", text]) == 0
+        assert capsys.readouterr().out == f"{out}\n"
 
     def test_printable_scalar_sum_prints(self, capsys):
         assert main(["nf", "torus", "9^4506 - 9^4506 + 9^4506 U"]) == 0

@@ -31,7 +31,6 @@ from qiso.cqg import (
     hopf_quotient,
     monic,
     residue_verdict,
-    same_relation_set,
     solve_counit,
     solve_haar_weights,
     star_close,
@@ -122,8 +121,8 @@ class TestCanonicalSets:
         lam = Scalar.exponential(ThetaLin(0, -2))
         got = [(a * b - b * a) * lam, a * a]
         want = [a * a, a * b - b * a]
-        assert same_relation_set(got, want)
-        assert not same_relation_set([a * b], [b * a])
+        assert canonical_set(got) == canonical_set(want)
+        assert canonical_set([a * b]) != canonical_set([b * a])
 
 
 class TestStarClose:
@@ -131,7 +130,7 @@ class TestStarClose:
         alg = FreeAlgebra(["a"])
         a = alg.gen("a")
         rels = star_close([a * a])
-        assert same_relation_set(rels, [a * a, a.star() * a.star()])
+        assert canonical_set(rels) == canonical_set([a * a, a.star() * a.star()])
 
     def test_keeps_selfadjoint_single(self):
         alg = FreeAlgebra(["a"])

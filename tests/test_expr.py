@@ -1,16 +1,18 @@
+import itertools
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qiso import catalog
+from qiso import catalog, expr
 from qiso.catalog import Scenario
 from qiso.expr import ParseError, parse, parse_element, tokenize
 from qiso.freealg import Element, FreeAlgebra, tensor
 from qiso.presfile import load_data
 from qiso.rewrite import RuleSet
-from qiso.scalars import Scalar, ThetaLin
+from qiso.scalars import Cyclo, Scalar, ThetaLin
 
 
 @pytest.fixture
@@ -148,15 +150,23 @@ class TestPowerCap:
         assert parse_element("U^20", alg).deg() == 20
 
 
+def _budget(op):
+    """The message of every size refusal of ``op`` (a regex)."""
+    return (rf"^{op} exceeds the size budget: "
+            r"(a number of more than \d+ (bits|digits)|more than \d+ letters and coefficient bits)$")
+
+
 class TestScalarPowerLimit:
-    # the limit is Python's own: sys.get_int_max_str_digits(), 4300 by default
+    # a number of more than 30000 bits is refused before it is computed, and
+    # one of more than sys.get_int_max_str_digits() digits (4300 by default)
+    # once computed
     @pytest.mark.parametrize("text, power", [
         ("3^3000000 U", 3000000), ("2^-20000", -20000), ("(2 + e(1/5))^30000", 30000),
         ("(1 + e(t))^100000 V", 100000), ("(e(t) - 1)^100000", 100000),
         ("(e(4*t) - 1)^100000", 100000),
     ])
     def test_unprintable_power_is_refused(self, alg, text, power):
-        with pytest.raises(ParseError, match=rf"^scalar power \^{power} would print a number of more than \d+ digits$"):
+        with pytest.raises(ParseError, match=_budget(rf"power \^{power}")):
             parse_element(text, alg)
 
     @pytest.mark.parametrize("text", [
@@ -169,7 +179,7 @@ class TestScalarPowerLimit:
 
 
 class TestScalarProductLimit:
-    # the rule of the power limit, on each scalar product a parse forms
+    # the budget of the power, on each product a parse forms
     @pytest.mark.parametrize("text", [
         "3^4000 3^4000 3^4000", "U 3^4000 3^4000 3^4000", "(3^4000 U) (3^4000 V) (3^4000 U)",
         "(2 + e(1/5))^6000 (2 + e(1/5))^6000", "3^4000 e(1/3) 3^4000 e(1/5) 3^4000 V",
@@ -178,7 +188,7 @@ class TestScalarProductLimit:
         f"e({10**400}*t) 3^4000 3^4000 3^4000",
     ])
     def test_unprintable_product_is_refused(self, alg, text):
-        with pytest.raises(ParseError, match=r"^scalar product would print a number of more than \d+ digits$"):
+        with pytest.raises(ParseError, match=_budget("product")):
             parse_element(text, alg)
 
     @pytest.mark.parametrize("text", [
@@ -193,7 +203,7 @@ class TestScalarProductLimit:
 
 
 class TestScalarSumLimit:
-    # the rule of the power limit, on each sum a parse forms; 9^4506 has
+    # the print limit of the power, on each sum a parse forms; 9^4506 has
     # 4300 digits, and twelve of them 4302
     @pytest.mark.parametrize("text", [
         " + ".join(["9^4506"] * 12) + " + U", "9^4506 + 9^4506", "-9^4506 - 9^4506 + V",
@@ -202,7 +212,7 @@ class TestScalarSumLimit:
         "(1/2)^7200 + e(t) + (1/3)^4506",
     ])
     def test_unprintable_sum_is_refused(self, alg, text):
-        with pytest.raises(ParseError, match=r"^scalar sum would print a number of more than \d+ digits$"):
+        with pytest.raises(ParseError, match=_budget("sum")):
             parse_element(text, alg)
 
     @pytest.mark.parametrize("text", [
@@ -212,6 +222,169 @@ class TestScalarSumLimit:
     def test_printable_sum_parses(self, alg, text):
         got = parse_element(text, alg)
         assert parse_element(got.render(), alg) == got
+
+
+# -- the size budget: the inputs it is pinned on, and its two stages ----------
+
+_TORUS = FreeAlgebra(["U", "V"])
+_TORUS_WORDS = [" ".join(w) for w in itertools.product(["U", "V", "U*", "V*"], repeat=6)]
+_B_WORDS = [" ".join(w) for w in itertools.product(
+    [n + s for n in ["A1", "A2", "B1", "B2", "C1", "C2", "D1", "D2"] for s in ("", "*")], repeat=3)]
+# a 1000-word sum times a 2000-word sum: 2 million products of words
+_WORD_SUMS = f"({' + '.join(_B_WORDS[:1000])}) ({' + '.join(_B_WORDS[1000:3000])})"
+
+
+def _computed(*args):
+    raise AssertionError("computed before the size budget refused it")
+
+
+class TestSizeBudget:
+    @pytest.mark.parametrize("text, alg, op, limit", [
+        ("(1+e(t))^1500", "torus", r"power \^1500", "letters"),
+        ("(1+e(t))^3000", "torus", r"power \^3000", "letters"),
+        ("(1+e(t))^2000 (1+e(t))^2000 U", "torus", r"power \^2000", "letters"),
+        # squared last: 501^2 pairs of terms of (1+e(t))^500
+        ("(1+e(t))^1000 (1+e(t))^1000 U", "torus", r"power \^1000", "letters"),
+        ("(2 + e(1/5))^30000", "torus", r"power \^30000", "bits"),
+        ("A1^3000000", "torus-b", r"power \^3000000", "letters"),
+        ("A1^-3000000", "torus-b", r"power \^-3000000", "letters"),
+        ("(A1 A2)^2000000", "torus-b", r"power \^2000000", "letters"),
+        ("(A1 + A2)^30", "torus-b", r"power \^30", "letters"),
+        (_WORD_SUMS, "torus-b", "product", "letters"),
+    ], ids=lambda v: v if len(v) < 40 else v[:20] + "...")
+    def test_too_large_is_refused_before_it_is_computed(self, monkeypatch, text, alg, op, limit):
+        for cls, name in [(Scalar, "__pow__"), (Element, "__pow__"), (Element, "__mul__")]:
+            monkeypatch.setattr(cls, name, _computed)
+        with pytest.raises(ParseError, match=_budget(op)) as exc:
+            parse_element(text, _ALGEBRAS[alg], cap=8 if alg == "torus" else None)
+        assert limit in str(exc.value)
+
+    def test_product_of_powers_within_the_budget_is_refused_before_it_is_computed(self, monkeypatch):
+        # 151 terms each, and 151 * 2^150 * 2^150 bounds a coefficient's l1
+        # norm: 22801 pairs of 300-bit numbers are over 2^21 bits
+        x = parse("(1+e(t))^150", _TORUS)
+        monkeypatch.setattr(Scalar, "__mul__", _computed)
+        with pytest.raises(ParseError, match=r"^product exceeds the size budget: more than \d+ letters and coefficient bits$"):
+            expr._product(x, x)
+
+    @pytest.mark.parametrize("text, want", [
+        ("3^4000 3^4000 U", lambda: _TORUS.gen("U") * 3**8000),
+        ("e(1/3)^1000000", lambda: Scalar.root(Fraction(1, 3))),
+        ("e(t)^1000", lambda: Scalar.phase(1000)),
+        ("(3/2)^-9000", lambda: Scalar.rational(Fraction(2, 3) ** 9000)),
+        ("(2 + e(1/5))^3000 (2 + e(1/5))^3000", lambda: (2 + Scalar.root(Fraction(1, 5))) ** 6000),
+        ("9^4506 - 9^4506 + 9^4506 U", lambda: _TORUS.gen("U") * 9**4506),
+        ("(U + V + U* + V*)^8", lambda: sum((_TORUS.gen(n, s) for n in "UV" for s in (False, True)),
+                                           Element(_TORUS)) ** 8),
+        (" + ".join(_TORUS_WORDS[:4000]), lambda: sum((parse_element(w, _TORUS) for w in _TORUS_WORDS[:4000]),
+                                                      Element(_TORUS))),
+    ], ids=lambda v: v if isinstance(v, str) and len(v) < 40 else None)
+    def test_within_the_budget_parses(self, text, want):
+        assert parse(text, _TORUS, cap=8) == want()
+
+    @pytest.mark.parametrize("n, r", [(1, 1), (3, 2), (5, 4), (12, 2), (60, 6), (105, 34)])
+    def test_root_norm(self, n, r):
+        # the largest l1 norm of a root of unity's coordinates mod Phi_k, k | n;
+        # Phi_105 has a coefficient -2
+        assert expr._root_norm(n) == r
+        assert max(sum(map(abs, Cyclo.root(Fraction(j, n)).coords(n))) for j in range(n)) <= r
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_stage_one_bounds_the_result(self, data):
+        x = data.draw(_budget_values())
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, 4))
+            if data.draw(st.booleans()) and isinstance(x, Scalar) and x.is_unit():
+                k = -k
+            got, bound = _stage_one(expr._power, x, k)
+        else:
+            y = data.draw(st.sampled_from(["any", "conj", "inv"]))
+            if y == "conj":  # x x*, often in a subfield
+                y = x.conj() if isinstance(x, Scalar) else x.star()
+            elif y == "inv" and isinstance(x, Scalar) and x.is_unit():  # x / x = 1
+                y = x.inv()
+            else:
+                y = data.draw(_budget_values())
+            got, bound = _stage_one(expr._product, x, y)
+            if bound is None:  # a scalar times a word: only its coefficient is set
+                scalar, word = (x, y) if isinstance(x, Scalar) else (y, x)
+                assert got.t == ({} if scalar.is_zero() else {m: scalar for m in word.t})
+                return
+        terms, letters, d, l = bound
+        sizes = _measured(got)
+        assert len(sizes) <= terms
+        for w, cd, cl in sizes:
+            assert w <= letters and cd <= d and cl <= l
+        assert sum(w + cd.bit_length() + cl.bit_length() for w, cd, cl in sizes) <= (
+            terms * (letters + d.bit_length() + l.bit_length()))
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(640, 660), st.sampled_from([1, 5, 12]), st.lists(
+        st.tuples(st.booleans(), st.integers(636, 664), st.integers(0, 2210)), min_size=1, max_size=4))
+    def test_stage_two_refuses_exactly_the_numbers_too_long_to_print(self, limit, n, parts):
+        # coordinates +-(10^a - 3) / 2^b, whose numerators and denominators
+        # in lowest terms have about ``limit`` digits
+        old = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(0)  # no limit, to read the lengths
+            x = Scalar({0: Cyclo(n, [Fraction((-1) ** neg * (10**a - 3), 2**b) for neg, a, b in parts])})
+            printed = [v for c in x.terms.values() for a in c.c for v in (Fraction(a, c.d).numerator,
+                                                                           Fraction(a, c.d).denominator)]
+            too_long = any(len(str(abs(v))) > limit for v in printed)
+            sys.set_int_max_str_digits(limit)
+            if too_long:
+                with pytest.raises(ParseError, match=f"^sum exceeds the size budget: a number of more than {limit} digits$"):
+                    expr._printable("sum", x)
+            else:
+                assert expr._printable("sum", x) is x
+                assert parse(x.render(), _TORUS) == x
+        finally:
+            sys.set_int_max_str_digits(old)
+
+
+_CONDUCTORS = [1, 3, 5, 12, 60, 105]
+
+
+@st.composite
+def _budget_scalars(draw):
+    """A sum of one to three terms c * e(s*t), c in Q(zeta_n) for n in _CONDUCTORS."""
+    out = Scalar.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.sampled_from(_CONDUCTORS))
+        if draw(st.booleans()):  # a root of unity
+            c = Cyclo.root(Fraction(draw(st.integers(0, n - 1)), n))
+        else:
+            den = draw(st.integers(1, 6))
+            c = Cyclo(n, [Fraction(v, den) for v in draw(st.lists(st.integers(-9, 9), min_size=1, max_size=6))])
+        out = out + Scalar({draw(st.integers(-2, 2)): c})
+    return out
+
+
+@st.composite
+def _budget_values(draw):
+    """A scalar, or an element of the torus algebra with such coefficients."""
+    if draw(st.booleans()):
+        return draw(_budget_scalars())
+    words = st.lists(st.sampled_from(_letters(_TORUS)), max_size=2).map(tuple)
+    return Element(_TORUS, draw(st.dictionaries(words, _budget_scalars(), max_size=3)))
+
+
+def _stage_one(op, *args):
+    """op(*args), and the bound stage 1 checked for it (None for a scalar
+    times a word, which no bound checks)."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(expr, "_bound", lambda name, *bound: seen.append(bound))
+        got = op(*args)
+    return got, seen[0] if seen else None
+
+
+def _measured(x):
+    """(letters, denominator, l1 norm of the coordinates) of each term of x,
+    one per word and exponent of e(s*t)."""
+    terms = [((), x)] if isinstance(x, Scalar) else list(x.t.items())
+    return [(len(m), c.d, sum(map(abs, c.c))) for m, v in terms for c in v.terms.values()]
 
 
 class TestRoundTrip:
