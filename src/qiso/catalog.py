@@ -104,23 +104,25 @@ class Scenario:
         A parse that reads all of a text has looked up each of its names
         other than ``e`` and ``t`` as a generator, so no algebra before the
         first one with all those names reads it.  That algebra is tried
-        first, and the others only when it fails."""
+        first, and the others only when it fails; each algebra is tried once."""
         toks = tokenize(text)
         nf_cap = None if self.nf_rules is None else self.nf_rules.cap
         names = {v for k, v in toks if k == "IDENT"} - {"e", "t"}
+        errors = {}  # id of each algebra tried -> its error
         for alg in self.parse_algebras:
             if names <= alg.index.keys():
                 try:
                     return parse_element(toks, alg, self.theta, nf_cap if alg is self.nf_algebra else None)
-                except ParseError:
-                    break
-        errors = []
+                except ParseError as exc:
+                    errors[id(alg)] = exc
+                break
         for alg in self.parse_algebras:
-            try:
-                return parse_element(toks, alg, self.theta, nf_cap if alg is self.nf_algebra else None)
-            except ParseError as exc:  # try the next algebra
-                errors.append(exc)
-        raise max(errors, key=lambda exc: exc.pos)
+            if id(alg) not in errors:
+                try:
+                    return parse_element(toks, alg, self.theta, nf_cap if alg is self.nf_algebra else None)
+                except ParseError as exc:  # try the next algebra
+                    errors[id(alg)] = exc
+        raise max((errors[id(alg)] for alg in self.parse_algebras), key=lambda exc: exc.pos)
 
     def normal_form(self, text: str) -> str:
         elem = self.parse(text)
@@ -616,26 +618,10 @@ def kappa_table(g: dict) -> dict:
 EPSILON8 = {n: Scalar.rational(int(i == j)) for n, (i, j) in _POSITIONS.items()}
 
 
-def _torus_source(theta: Frac | None = None):
-    """The free torus source U, V and its six relations, oriented as the
-    homomorphism checks report them (U V = e(t) V U)."""
-    src = FreeAlgebra(["U", "V"])
-    U, V = src.gen("U"), src.gen("V")
-    one = Element.unit(src)
-    lam = _torus_phase(1, theta)
-    return src, [
-        U * U.star() - one,
-        U.star() * U - one,
-        V * V.star() - one,
-        V.star() * V - one,
-        U * V - V * U * lam,
-        V.star() * U.star() - U.star() * V.star() * lam.conj(),
-    ]
-
-
-def torus_relations(alg: FreeAlgebra, mu: Scalar) -> list:
+def torus_relations(alg: FreeAlgebra, lam: Scalar) -> list:
     """The six relations of the torus on the generators U, V of ``alg`` with
-    V U = mu U V: U and V are unitary, and the exchange and its adjoint."""
+    U V = lam V U, oriented as the homomorphism checks report them: U and V
+    are unitary, and the exchange and its adjoint."""
     U, V = alg.gen("U"), alg.gen("V")
     one = Element.unit(alg)
     return [
@@ -643,8 +629,8 @@ def torus_relations(alg: FreeAlgebra, mu: Scalar) -> list:
         U.star() * U - one,
         V * V.star() - one,
         V.star() * V - one,
-        V * U - U * V * mu,
-        U.star() * V.star() - V.star() * U.star() * mu.conj(),
+        U * V - V * U * lam,
+        V.star() * U.star() - U.star() * V.star() * lam.conj(),
     ]
 
 
@@ -658,8 +644,8 @@ def torus_action(elems: dict, theta: Frac | None = None) -> ActionSpec:
     basis = (U, V, U.star(), V.star())
     table = {n: functools.reduce(operator.add, (tensor(x, M[i][j]) for i, x in enumerate(basis)))
              for j, n in enumerate(("U", "V"))}
-    src, src_rels = _torus_source(theta)
-    return ActionSpec(src, src_rels, table, name="torus")
+    src = FreeAlgebra(["U", "V"])
+    return ActionSpec(src, torus_relations(src, _torus_phase(1, theta)), table, name="torus")
 
 
 def build_torus_scenario(theta: Frac | None = None) -> Scenario:
@@ -695,9 +681,9 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
     )
     act0 = torus_action(elems, theta)
 
-    sc.nf_algebra = FreeAlgebra(["U", "V"])
+    sc.nf_algebra = act0.source
     sc.parse_algebras = [free8, sc.nf_algebra]
-    sc.member_relations = torus_relations(sc.nf_algebra, _torus_phase(-1, theta))
+    sc.member_relations = act0.source_relations
     sc.member_cap = 8
     sc.nf_rules = sc.member_rules
     sc.b_presentation = b_pres
@@ -1079,7 +1065,7 @@ def nf_model_coherence(comm_exponent: int, theta: Frac | None = None,
     mu = _torus_phase(comm_exponent, theta)
     alg = FreeAlgebra(["U", "V"])
     U, V = alg.gen("U"), alg.gen("V")
-    rels = torus_relations(alg, mu) + [
+    rels = torus_relations(alg, mu.conj()) + [
         V * U.star() - U.star() * V * mu.conj(),
         V.star() * U - U * V.star() * mu.conj(),
     ]

@@ -15,13 +15,15 @@ A run of generator factors is read in one loop, one name lookup per
 generator, into one word, and a sum adds its terms to its own accumulator
 in place, in time linear in its length.
 
-One size budget holds every product and power a parse forms.  Integer
-bounds on its operands' exact sizes refuse it before it is computed when
-it could hold a number of more than ``_NUMBER_BITS`` bits or more than
-``_TOTAL_SIZE`` letters and coefficient bits in all (stage 1).  Once
-computed, a product, power or sum is refused when it prints a number of
-more than ``sys.get_int_max_str_digits()`` digits (stage 2).  Each refusal
-is a ParseError "<operation> exceeds the size budget: <limit>".
+One size budget holds every product, tensor product, power and sum a parse
+forms.  Integer bounds on its operands' exact sizes refuse it before it is
+computed when it could hold a number of more than ``_NUMBER_BITS`` bits or
+more than ``_TOTAL_SIZE`` letters and coefficient bits in all (stage 1); a
+sum is refused before the term whose size takes its terms' sizes over
+``_TOTAL_SIZE``.  Once computed, a product, tensor product, power or sum is
+refused when it prints a number of more than ``sys.get_int_max_str_digits()``
+digits (stage 2).  Each refusal is a ParseError "<operation> exceeds the
+size budget: <limit>".
 """
 
 from __future__ import annotations
@@ -132,6 +134,7 @@ class _Parser:
         if neg:
             acc = -acc
         own = False  # whether acc is an element made here, which terms are added to in place
+        size = None  # the sizes of the terms added so far, from the second term on
         while True:
             k, op = toks[self.pos]
             if k != "SYM" or (op != "+" and op != "-"):
@@ -139,6 +142,9 @@ class _Parser:
             self.pos += 1
             term = self.parse_tensterm()
             _check_combinable(acc, term)
+            size = (_size(acc) if size is None else size) + _size(term)
+            if size > _TOTAL_SIZE:
+                _refuse("sum", _TOTAL_LIMIT)
             if isinstance(acc, Element) and isinstance(term, Element):
                 # acc + term would copy acc for every term: a sum of n terms
                 # would take time quadratic in n
@@ -173,7 +179,8 @@ class _Parser:
         elems = [
             _as_element(p, alg) for p, alg in zip(parts, self.algebras)
         ]
-        return tensor(*elems)
+        functools.reduce(functools.partial(_bound_product, "tensor product"), map(_sizes, elems))
+        return _printable("tensor product", tensor(*elems))
 
     # product := factor+   ('*' as explicit separator also allowed)
     def parse_product(self):
@@ -394,17 +401,25 @@ def _power(x, p: int):
 
 
 def _product(x, y):
-    """x * y.  A scalar times a word (coefficient ONE) only sets its coefficient.
-    Else stage 1 counts a term per pair of terms, at most min(tx, ty) pairs in
-    one, each a sum of roots of unity reduced once (or scaled by a rational)."""
+    """x * y.  A scalar times a word (coefficient ONE) only sets its coefficient."""
     e = y if isinstance(x, Scalar) else x
     if isinstance(x, Scalar) is not isinstance(y, Scalar) and len(e.t) == 1 and ONE in e.t.values():
         return x * y
-    tx, wx, dx, lx, _, nx = _sizes(x)
-    ty, wy, dy, ly, _, ny = _sizes(y)
-    r = 1 if (tx == 1 and nx == 1) or (ty == 1 and ny == 1) else _root_norm(lcm(nx, ny))
-    _bound("product", tx * ty, wx + wy, dx * dy, min(tx, ty) * lx * ly * r)
+    _bound_product("product", _sizes(x), _sizes(y))
     return _printable("product", x * y)
+
+
+def _bound_product(op: str, a: tuple, b: tuple) -> tuple:
+    """Stage 1 on op, a product of operands of sizes a and b (as :func:`_sizes`
+    gives them), and the sizes that bound the product.  It counts a term per
+    pair of terms, at most min(ta, tb) pairs in one, each a sum of roots of
+    unity reduced once (or scaled by a rational)."""
+    ta, wa, da, la, _, na = a
+    tb, wb, db, lb, _, nb = b
+    r = 1 if (ta == 1 and na == 1) or (tb == 1 and nb == 1) else _root_norm(lcm(na, nb))
+    t, l = ta * tb, min(ta, tb) * la * lb * r
+    _bound(op, t, wa + wb, da * db, l)
+    return t, wa + wb, da * db, l, t * l, lcm(na, nb)
 
 
 def _check_sum(total, y):
@@ -419,6 +434,7 @@ def _check_sum(total, y):
 
 _NUMBER_BITS = 30_000  # about twice the 4300 digits Python prints by default
 _TOTAL_SIZE = 1 << 21  # letters and coefficient bits over all terms
+_TOTAL_LIMIT = f"more than {_TOTAL_SIZE} letters and coefficient bits"
 _digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # Python's print limit; 0: none
 
 
@@ -432,7 +448,7 @@ def _bound(op: str, terms: int, letters: int, d: int, l: int):
     if max(d, l).bit_length() > _NUMBER_BITS:
         _refuse(op, f"a number of more than {_NUMBER_BITS} bits")
     if terms * (letters + d.bit_length() + l.bit_length()) > _TOTAL_SIZE:
-        _refuse(op, f"more than {_TOTAL_SIZE} letters and coefficient bits")
+        _refuse(op, _TOTAL_LIMIT)
 
 
 def _printable(op: str, x):
@@ -457,6 +473,19 @@ def _sizes(x) -> tuple:
     d = lcm(*[c.d for c in cs])
     norms = [sum(map(abs, c.c)) * (d // c.d) for c in cs]
     return len(cs), w, d, max(norms, default=0), sum(norms), lcm(*[c.n for c in cs])
+
+
+def _size(x) -> int:
+    """The letters and coefficient bits of x's terms, one term per word and
+    exponent of e(s*t), as stage 1 counts them: its word's letters and the
+    bits of its coordinates' denominator and l1 norm."""
+    terms, deg = (x.t.items(), x.ambient.deg) if isinstance(x, Element) else ((((), x),), len)
+    size = 0
+    for m, c in terms:
+        w = deg(m)
+        for z in c.terms.values():
+            size += w + z.d.bit_length() + sum(map(abs, z.c)).bit_length()
+    return size
 
 
 @functools.cache

@@ -1,7 +1,9 @@
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +21,7 @@ from qiso.catalog import (
     sphere_harmonics_check,
     torus_block,
 )
-from qiso.cqg import Report
+from qiso.cqg import Report, check_hom
 from qiso.expr import ParseError
 from qiso.freealg import Element, FreeAlgebra, substitute, tensor
 from qiso.graded import BlockAlgebra
@@ -243,13 +245,13 @@ class TestCoherenceHelper:
 
     @staticmethod
     def _conjugate_exchange(monkeypatch):
-        """The exchange relation V U - mu U V written with mu conjugated."""
+        """The exchange relation U V - lam V U written with lam conjugated."""
         torus_relations = catalog.torus_relations
 
-        def mutated(alg, mu):
-            rels = torus_relations(alg, mu)
+        def mutated(alg, lam):
+            rels = torus_relations(alg, lam)
             U, V = alg.gen("U"), alg.gen("V")
-            rels[4] = V * U - U * V * mu.conj()
+            rels[4] = U * V - V * U * lam.conj()
             return rels
 
         monkeypatch.setattr(catalog, "torus_relations", mutated)
@@ -287,6 +289,36 @@ class TestCoherenceHelper:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "raised normal form of U disagrees with the model: -U"
+
+
+class TestOneTorusPresentation:
+    """The six U, V torus relations are written once, in ``torus_relations``:
+    the action's source relations, the membership system and the hom rows
+    all read that list."""
+
+    GOLDEN_HOM = [row for row in json.loads(
+        (Path(__file__).parent / "data" / "golden_report.json").read_text())["torus"]["generic"]
+        if row[0].startswith("hom[")]
+
+    @staticmethod
+    def _hom_rows(sc):
+        return [[r.name, r.mode, r.status, r.detail] for r in check_hom(sc.action).results]
+
+    def test_scenario_reads_the_action_source(self):
+        sc = build("torus")
+        assert sc.nf_algebra is sc.action.source
+        assert sc.member_relations is sc.action.source_relations
+        assert self._hom_rows(sc) == self.GOLDEN_HOM
+
+    def test_dropped_relation_changes_the_hom_rows(self, monkeypatch):
+        # U U* - 1 once fed only the membership and coherence systems, where
+        # dropping it changed no row; now it is also hom[0]
+        torus_relations = catalog.torus_relations
+        monkeypatch.setattr(catalog, "torus_relations", lambda alg, lam: torus_relations(alg, lam)[1:])
+        rows = self._hom_rows(build("torus"))
+        assert rows != self.GOLDEN_HOM
+        assert [row[0].split(": ")[1] for row in rows] == [
+            row[0].split(": ")[1] for row in self.GOLDEN_HOM[1:]]
 
 
 class TestVanishingRows:

@@ -228,10 +228,14 @@ class TestScalarSumLimit:
 
 _TORUS = FreeAlgebra(["U", "V"])
 _TORUS_WORDS = [" ".join(w) for w in itertools.product(["U", "V", "U*", "V*"], repeat=6)]
-_B_WORDS = [" ".join(w) for w in itertools.product(
-    [n + s for n in ["A1", "A2", "B1", "B2", "C1", "C2", "D1", "D2"] for s in ("", "*")], repeat=3)]
+_B_LETTERS = [n + s for n in ["A1", "A2", "B1", "B2", "C1", "C2", "D1", "D2"] for s in ("", "*")]
+_B_WORDS = [" ".join(w) for w in itertools.product(_B_LETTERS, repeat=3)]
 # a 1000-word sum times a 2000-word sum: 2 million products of words
 _WORD_SUMS = f"({' + '.join(_B_WORDS[:1000])}) ({' + '.join(_B_WORDS[1000:3000])})"
+# eight in-budget summands of 65536 five-letter words each: 524288 terms
+_POWER_SUMS = " + ".join(f"({' + '.join(_B_LETTERS)})^4 {g}" for g in _B_LETTERS[::2])
+# a 500-word sum in each tensor factor: 250000 pairs of words
+_SUM_500 = f"({' + '.join(_TORUS_WORDS[:500])})"
 
 
 def _computed(*args):
@@ -258,6 +262,35 @@ class TestSizeBudget:
         with pytest.raises(ParseError, match=_budget(op)) as exc:
             parse_element(text, _ALGEBRAS[alg], cap=8 if alg == "torus" else None)
         assert limit in str(exc.value)
+
+    def test_sum_is_refused_before_the_term_that_crosses_the_budget(self, monkeypatch):
+        # each summand is 65536 * (5 letters + 2 coefficient bits); four fit
+        # in 2^21, and the fifth is refused before any of its words is added
+        added = []
+        add_term = expr._add_term
+
+        def counting(t, m, c):
+            added.append(len(m))
+            add_term(t, m, c)
+
+        monkeypatch.setattr(expr, "_add_term", counting)
+        with pytest.raises(ParseError, match=r"^sum exceeds the size budget: more than \d+ letters and coefficient bits$"):
+            parse_element(_POWER_SUMS, _ALGEBRAS["torus-b"])
+        assert added.count(5) == 3 * 16**4  # the first summand is the sum's start
+
+    def test_tensor_product_is_refused_before_it_is_formed(self, monkeypatch):
+        monkeypatch.setattr(expr, "tensor", _computed)
+        with pytest.raises(ParseError, match=r"^tensor product exceeds the size budget: more than \d+ letters and coefficient bits$"):
+            parse_element(f"{_SUM_500} (x) {_SUM_500}", [_TORUS, _TORUS])
+        with pytest.raises(ParseError, match=r"^product exceeds the size budget: more than \d+ letters and coefficient bits$"):
+            parse_element(f"{_SUM_500} {_SUM_500}", _TORUS)
+
+    def test_tensor_product_within_the_budget_parses(self):
+        left, right = (f"({' + '.join(ws)})" for ws in (_TORUS_WORDS[:50], _TORUS_WORDS[-60:]))
+        twin = FreeAlgebra(["U", "V"])
+        got = parse_element(f"{left} (x) 2 {right}", [_TORUS, twin])
+        assert got == tensor(parse_element(left, _TORUS), parse_element(right, twin) * 2)
+        assert len(got.t) == 3000
 
     def test_product_of_powers_within_the_budget_is_refused_before_it_is_computed(self, monkeypatch):
         # 151 terms each, and 151 * 2^150 * 2^150 bounds a coefficient's l1
@@ -574,3 +607,19 @@ class TestScenarioParse:
         with pytest.raises(ParseError) as want:
             _parse_each_in_turn(sc, text)
         assert (str(got.value), got.value.pos) == (str(want.value), want.value.pos)
+
+    def test_each_algebra_is_tried_once(self, monkeypatch):
+        # the U, V algebra reads every name, so it is tried first; the power
+        # it forms before U^9 is refused is not formed again
+        sc = _scenario(("torus", None))
+        powers = []
+        power = expr._power
+
+        def counting(x, p):
+            powers.append(p)
+            return power(x, p)
+
+        monkeypatch.setattr(expr, "_power", counting)
+        with pytest.raises(ParseError, match=r"^power of degree 9 exceeds rewriting cap 8$"):
+            sc.parse("(U + V + U* + V*)^8 U^9")
+        assert powers == [8]
