@@ -98,8 +98,9 @@ class Scenario:
 
     def parse(self, text: str) -> Element:
         """The text over the first parse algebra that reads all of it; when
-        none does, the error of the one that read furthest.  Over the normal
-        form algebra, a power above the cap of ``nf_rules`` is refused.
+        none does, the error of the one that read furthest (on a tie, the
+        earlier in ``parse_algebras``).  Over the normal form algebra, a power
+        above the cap of ``nf_rules`` is refused.
 
         A parse that reads all of a text has looked up each of its names
         other than ``e`` and ``t`` as a generator, so no algebra before the
@@ -108,21 +109,20 @@ class Scenario:
         toks = tokenize(text)
         nf_cap = None if self.nf_rules is None else self.nf_rules.cap
         names = {v for k, v in toks if k == "IDENT"} - {"e", "t"}
-        errors = {}  # id of each algebra tried -> its error
-        for alg in self.parse_algebras:
-            if names <= alg.index.keys():
-                try:
-                    return parse_element(toks, alg, self.theta, nf_cap if alg is self.nf_algebra else None)
-                except ParseError as exc:
-                    errors[id(alg)] = exc
+        algs = self.parse_algebras
+        for first in algs:
+            if names <= first.index.keys():
                 break
-        for alg in self.parse_algebras:
+        else:  # no algebra has every name: try them in order
+            first = algs[0]
+        errors = {}  # id of each algebra tried -> its error
+        for alg in (first, *algs):
             if id(alg) not in errors:
                 try:
                     return parse_element(toks, alg, self.theta, nf_cap if alg is self.nf_algebra else None)
                 except ParseError as exc:  # try the next algebra
                     errors[id(alg)] = exc
-        raise max((errors[id(alg)] for alg in self.parse_algebras), key=lambda exc: exc.pos)
+        raise max((errors[id(alg)] for alg in algs), key=lambda exc: exc.pos)
 
     def normal_form(self, text: str) -> str:
         elem = self.parse(text)
@@ -148,8 +148,8 @@ class Scenario:
         return result.status, cert
 
 
-def _compare_sets(report, name, mode, extract, expected):
-    """Check that the relations ``extract()`` returns are ``expected``."""
+def _compare_sets(extract, expected):
+    """The check that the relations ``extract()`` returns are ``expected``."""
 
     def check():
         got, want = canonical_set(extract()), canonical_set(expected)
@@ -159,13 +159,13 @@ def _compare_sets(report, name, mode, extract, expected):
         extra = [r for r in got if r not in want]
         return FAIL, f"missing {missing[:3]}, unexpected {extra[:3]}"
 
-    report.run(name, mode, check)
+    return check
 
 
-def _all_vanish(report, name, relations, value, suffix=""):
-    """The model check that ``value(r)`` is zero for every relation r; a
-    FAIL names the first relation that survives, and a PASS counts the
-    relations, followed by ``suffix``."""
+def _all_vanish(relations, value, suffix=""):
+    """The check that ``value(r)`` is zero for every relation r; a FAIL
+    names the first relation that survives, and a PASS counts the relations,
+    followed by ``suffix``."""
 
     def check():
         for i, r in enumerate(relations):
@@ -173,7 +173,7 @@ def _all_vanish(report, name, relations, value, suffix=""):
                 return FAIL, f"relation {i}: {r.render()}"
         return PASS, f"{len(relations)} relations{suffix}"
 
-    report.run(name, "model", check)
+    return check
 
 
 # ===========================================================================
@@ -220,9 +220,9 @@ def build_circle_scenario() -> Scenario:
 
     def suite(report: Report):
         # the two product conditions force exactly the derived relation set
-        _compare_sets(report, "extracted-relations", "model", lambda: (
+        report.run("extracted-relations", "model", _compare_sets(lambda: (
             extract_relations(act, zs * z - one_c) + extract_relations(act, z * zs - one_c)
-        ), derived.relations)
+        ), derived.relations))
 
         # the unitary/projection generators live in the derived ideal
         Pd, Ud = A.star() * A, A + B
@@ -242,7 +242,7 @@ def build_circle_scenario() -> Scenario:
 
             report.run(f"membership[{label}]", "presentation", mem)
 
-        check_coassoc(upres, cap=6, report=report)
+        report.extend(check_coassoc(upres, cap=6))
 
         # displayed coproducts of UP and UP_perp agree with the table
         rules2 = (sc.nf_rules, sc.nf_rules)
@@ -264,7 +264,7 @@ def build_circle_scenario() -> Scenario:
             return FAIL, "solved counit differs from the declared one"
 
         report.run("counit-solve", "presentation", counit_solution)
-        check_counit_antipode(upres, cap=6, report=report)
+        report.extend(check_counit_antipode(upres, cap=6))
 
         report.run("antipode-table", "presentation", lambda: (
             SKIPPED,
@@ -446,7 +446,7 @@ def build_sphere_scenario() -> Scenario:
                 got.extend(extract_relations(act, img.star() - img))
             return got
 
-        _compare_sets(report, "extracted-relations", "presentation", extracted, golden.relations)
+        report.run("extracted-relations", "presentation", _compare_sets(extracted, golden.relations))
 
         # every commutator of coefficients lies in the exchange ideal
         def coefficient_commutators():
@@ -486,7 +486,7 @@ def build_sphere_scenario() -> Scenario:
             return RuleSet(qa, star_close(rels), cap=4)
 
         M = [[_sphere_q(qa, i, j) for j in (1, 2, 3)] for i in (1, 2, 3)]
-        check_unitary_matrix(M, report=report, rules=build_rules, name="Q")
+        report.extend(check_unitary_matrix(M, rules=build_rules, name="Q"))
 
         # Laplacian eigenvalues on restricted harmonic polynomials
         def laplacian_oracle():
@@ -541,15 +541,13 @@ _FAMILY_SUPPORT = {
 
 
 def _torus_phase(k, theta: Frac | None = None) -> Scalar:
-    """e(k t), specialized at ``theta`` when one is given."""
-    phase = Scalar.exponential(ThetaLin(0, k))
-    return phase.specialize(theta) if theta is not None else phase
+    """e(k t), or its value e(k theta) when ``theta`` is given."""
+    return Scalar.phase(k) if theta is None else Scalar.root(k * theta)
 
 
 def torus_block(theta: Frac | None = None) -> BlockAlgebra:
     """The twisted torus with V U = e(-t) U V (so U V = e(t) V U)."""
-    blk = BlockAlgebra(["U", "V"], comm={(0, 1): _torus_phase(-1)}, bidegrees=[(1, 0), (0, 1)])
-    return blk.specialize(theta) if theta is not None else blk
+    return BlockAlgebra(["U", "V"], comm={(0, 1): _torus_phase(-1, theta)}, bidegrees=[(1, 0), (0, 1)])
 
 
 def commutative_torus() -> BlockAlgebra:
@@ -566,10 +564,9 @@ def eight_block_model(theta: Frac | None = None) -> DirectSum:
         bide = [_BIDEG[fam[0]], _BIDEG[fam[1]]]
         comm = None
         if k % 2 == 1:  # blocks 2, 4, 6, 8 are doubly twisted
-            comm = {(0, 1): _torus_phase(-2)}
+            comm = {(0, 1): _torus_phase(-2, theta)}
         blocks.append(BlockAlgebra(names, comm=comm, bidegrees=bide))
-    ds = DirectSum(blocks, [f"block{k + 1}" for k in range(8)])
-    return ds.specialize(theta) if theta is not None else ds
+    return DirectSum(blocks, [f"block{k + 1}" for k in range(8)])
 
 
 def family_elements(ds: DirectSum) -> dict:
@@ -704,8 +701,8 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
             return lambda: (extract_relations(act, x.star() * x - sone)
                             + extract_relations(act, x * x.star() - sone))
 
-        _compare_sets(report, "extract-row1", "model", unitarity(sU), golden["row1"])
-        _compare_sets(report, "extract-row2", "model", unitarity(sV), golden["row2"])
+        report.run("extract-row1", "model", _compare_sets(unitarity(sU), golden["row1"]))
+        report.run("extract-row2", "model", _compare_sets(unitarity(sV), golden["row2"]))
 
         def mixed():
             got = []
@@ -713,23 +710,23 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
                 got.extend(extract_relations(act, expr, targets=targets_sq))
             return got
 
-        _compare_sets(report, "extract-mixed", "model", mixed, golden["mixed"])
-        _compare_sets(report, "extract-exchange", "model", lambda: extract_relations(
-            act, sU * sV - sV * sU * lam, targets=targets_mix), golden["exchange"])
+        report.run("extract-mixed", "model", _compare_sets(mixed, golden["mixed"]))
+        report.run("extract-exchange", "model", _compare_sets(lambda: extract_relations(
+            act, sU * sV - sV * sU * lam, targets=targets_mix), golden["exchange"]))
 
         # the eight-block model satisfies every golden relation
-        _all_vanish(report, "model-soundness", golden_all, lambda r: substitute(r, elems),
-                    " hold in the model")
+        report.run("model-soundness", "model", _all_vanish(
+            golden_all, lambda r: substitute(r, elems), " hold in the model"))
 
-        check_unitary_matrix(matrix_m(elems), report=report, name="M")
+        report.extend(check_unitary_matrix(matrix_m(elems), name="M"))
 
-        check_hom(act0, report=report)
-        check_coassoc(b_pres, mode="model", report=report)
-        check_counit_antipode(b_pres, mode="model", report=report)
+        report.extend(check_hom(act0))
+        report.extend(check_coassoc(b_pres, mode="model"))
+        report.extend(check_counit_antipode(b_pres, mode="model"))
 
         # the coproduct descends to every relation: Delta(r) = 0 in the
         # tensor-square model
-        _all_vanish(report, "coproduct-kills-relations", b_pres.relations, b_pres.delta_model)
+        report.run("coproduct-kills-relations", "model", _all_vanish(b_pres.relations, b_pres.delta_model))
 
         # block picture: each family element times its own and its partner's
         # range projections selects a single block generator
@@ -756,12 +753,12 @@ def build_torus_scenario(theta: Frac | None = None) -> Scenario:
 
         # antipode on relations, evaluated in the model
         kmodel = kappa_table(elems)
-        _all_vanish(report, "antipode-kills-relations", b_pres.relations,
-                    lambda r: apply_antipode_to_relation(r, kmodel, ds))
+        report.run("antipode-kills-relations", "model", _all_vanish(
+            b_pres.relations, lambda r: apply_antipode_to_relation(r, kmodel, ds)))
 
         # isometry: the action preserves Laplacian eigenspaces, and the
         # surviving exponents show the expected dihedral pattern
-        check_isometry(act0, _MONOS3, report=report)
+        report.extend(check_isometry(act0, _MONOS3))
 
         def survival_pattern():
             for (m, n) in _MONOS3:
@@ -874,8 +871,8 @@ def build_double_torus_scenario(torus: Scenario) -> Scenario:
 
         report.run("coproduct-table", "presentation", coproduct_matches)
 
-        _all_vanish(report, "relations-in-model", golden.relations,
-                    lambda r: substitute(r, quotient.model), " hold in the model")
+        report.run("relations-in-model", "model", _all_vanish(
+            golden.relations, lambda r: substitute(r, quotient.model), " hold in the model"))
 
         def counit_matches():
             for n in golden.algebra.names:
@@ -885,10 +882,10 @@ def build_double_torus_scenario(torus: Scenario) -> Scenario:
 
         report.run("counit-table", "presentation", counit_matches)
 
-        check_coassoc(quotient, mode="model", report=report)
-        check_counit_antipode(quotient, mode="model", report=report)
-        check_hom(beta, report=report)
-        check_isometry(beta, _MONOS3, report=report)
+        report.extend(check_coassoc(quotient, mode="model"))
+        report.extend(check_counit_antipode(quotient, mode="model"))
+        report.extend(check_hom(beta))
+        report.extend(check_isometry(beta, _MONOS3))
 
         # holomorphicity: beta never mixes U, V with their adjoints
         def holomorphic():
@@ -1000,13 +997,11 @@ def build_deformation_scenario(torus: Scenario) -> Scenario:
 
         report.run("twisted-product-phases", "model", odot_phases)
 
-        check_deformed_hom(sc.action, J, degree_bound=3, report=report)
+        report.extend(check_deformed_hom(sc.action, J, degree_bound=3))
         report.run("haar-weights", "model", sc.haar_weights)
-        check_haar_twist_invariance(
-            sc.model, [Frac(1, 8)] * 8, J, degree_bound=3, report=report
-        )
+        report.extend(check_haar_twist_invariance(sc.model, [Frac(1, 8)] * 8, J, degree_bound=3))
 
-        check_twist_identities(sc.action, J, degree_bound=2, report=report)
+        report.extend(check_twist_identities(sc.action, J, degree_bound=2))
 
         for c in (0, -1, -2):
             def coherence(c=c):

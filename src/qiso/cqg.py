@@ -91,6 +91,10 @@ class Report:
         self.results.append(result)
         return result
 
+    def extend(self, other: "Report"):
+        """Append the rows of ``other``, in order."""
+        self.results.extend(other.results)
+
     def run(self, name, mode, fn) -> CheckResult:
         """Run one check.  An input beyond the rewriting cap leaves a
         presentation check UNDECIDED; any other error is raised."""
@@ -238,9 +242,9 @@ class ActionSpec:
 # ---------------------------------------------------------------------------
 
 
-def check_hom(act: ActionSpec, report: Report | None = None) -> Report:
+def check_hom(act: ActionSpec) -> Report:
     """The action respects every source relation (modulo target relations)."""
-    report = report or Report(f"hom:{act.name}")
+    report = Report(f"hom:{act.name}")
     mode = "model" if act.source_rules is None else "presentation"
     cap = getattr(act.source_rules, "cap", None)
     for i, r in enumerate(act.source_relations):
@@ -323,11 +327,11 @@ def alpha_of(act: ActionSpec, x: Element) -> Element:
     return out
 
 
-def check_isometry(act: ActionSpec, monomials, report: Report | None = None) -> Report:
+def check_isometry(act: ActionSpec, monomials) -> Report:
     """One ``isometry`` check: every source monomial in the image of an
     eigenvector of the flat Laplacian has the same eigenvalue.  The source
     factor must be a graded model."""
-    report = report or Report(f"isometry:{act.name}")
+    report = Report(f"isometry:{act.name}")
     a_amb = next(iter(act.table.values())).ambient.factors[0]
     laplacian = Laplacian()
 
@@ -349,10 +353,9 @@ def check_isometry(act: ActionSpec, monomials, report: Report | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def check_coassoc(P: CQGPresentation, cap: int | None = None, mode: str = "presentation",
-                  report: Report | None = None) -> Report:
+def check_coassoc(P: CQGPresentation, cap: int | None = None, mode: str = "presentation") -> Report:
     """(Delta (x) id) Delta = (id (x) Delta) Delta on every generator."""
-    report = report or Report(f"coassoc:{P.name}")
+    report = Report(f"coassoc:{P.name}")
     # built by the first check that reduces, so that its time is counted there
     rules = functools.cache(lambda: P.rules(cap))
     for g in P.algebra.names:
@@ -399,10 +402,9 @@ def apply_antipode_to_relation(r: Element, kappa_images: dict, target=None) -> E
     return substitute(reversed_words, kappa_images, target)
 
 
-def check_counit_antipode(P: CQGPresentation, cap: int | None = None,
-                          mode: str = "presentation", report: Report | None = None) -> Report:
+def check_counit_antipode(P: CQGPresentation, cap: int | None = None, mode: str = "presentation") -> Report:
     """Counit laws, antipode laws, and Hopf compatibility on relations."""
-    report = report or Report(f"counit-antipode:{P.name}")
+    report = Report(f"counit-antipode:{P.name}")
     rules = functools.cache(lambda: P.rules(cap))  # built inside the first check using it
 
     def residue(elem: Element) -> Element:
@@ -582,11 +584,10 @@ def solve_counit(P: CQGPresentation, cap: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_unitary_matrix(M, report: Report | None = None,
-                         rules: Callable[[], RuleSet] | None = None, name: str = "matrix") -> Report:
+def check_unitary_matrix(M, rules: Callable[[], RuleSet] | None = None, name: str = "matrix") -> Report:
     """All entries of MM* - I and M*M - I vanish (exactly, or modulo the
     system that ``rules()`` builds once, inside the first entry check)."""
-    report = report or Report(f"unitary:{name}")
+    report = Report(f"unitary:{name}")
     n = len(M)
     amb = M[0][0].ambient
     one = Element.unit(amb)
@@ -703,11 +704,10 @@ def bullet_product(x: Element, y: Element, Jb: SkewMatrix) -> Element:
     )
 
 
-def check_deformed_hom(act: ActionSpec, J, degree_bound: int = 3,
-                       report: Report | None = None) -> Report:
+def check_deformed_hom(act: ActionSpec, J, degree_bound: int = 3) -> Report:
     """alpha(a) bullet_J alpha(b) = alpha(a x_J b) on all monomial pairs of
     componentwise degree <= degree_bound (model mode, exact)."""
-    report = report or Report(f"deformed-hom:{act.name}")
+    report = Report(f"deformed-hom:{act.name}")
     a_amb = next(iter(act.table.values())).ambient.factors[0]
     rng = range(-degree_bound, degree_bound + 1)
     monos = [(m, n) for m in rng for n in rng]
@@ -737,15 +737,14 @@ def odot(x: Element, y: Element, Jt: SkewMatrix) -> Element:
     return rieffel_product(x, y, Jt, grading=x.ambient.bidegree)
 
 
-def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
-                      report: Report | None = None) -> Report:
+def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2) -> Report:
     """Convolution/twist identities on bihomogeneous monomials.
 
     All oscillatory integrals are replaced by their exact phase-collapse
     values  int int e(c1.u + c2.v + u.v) du dv = e(-c1.c2), taken on the left
     or right characters (halves of a bidegree) as phases of ``phased_product``.
     """
-    report = report or Report("twist-identities")
+    report = Report("twist-identities")
     a_amb, q_amb = next(iter(act.table.values())).ambient.factors
     rng = range(-degree_bound, degree_bound + 1)
     monos = [(m, n) for m in rng for n in rng]
@@ -819,15 +818,14 @@ def check_twist_identities(act: ActionSpec, J, degree_bound: int = 2,
 # ---------------------------------------------------------------------------
 
 
-def check_haar_twist_invariance(model_ambient: DirectSum, weights, J,
-                                degree_bound: int = 3, report: Report | None = None) -> Report:
+def check_haar_twist_invariance(model_ambient: DirectSum, weights, J, degree_bound: int = 3) -> Report:
     """h(a x_Jtilde b) = h(ab) on all monomial pairs of degree <= bound, and
     the two-sided torus action fixes h symbolically.  h is the Haar state
     ``tau(., weights)``; the weights are checked once, here, and must sum to
     1 (ValueError otherwise)."""
     if sum(weights) != 1:
         raise ValueError("Haar weights must sum to 1")
-    report = report or Report("haar-twist")
+    report = Report("haar-twist")
     rng = range(-degree_bound, degree_bound + 1)
     monos = [(k, (m, n)) for k in range(len(model_ambient.blocks)) for m in rng for n in rng]
 

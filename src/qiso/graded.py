@@ -139,13 +139,6 @@ class BlockAlgebra:
             )
         return tot
 
-    def specialize(self, theta) -> "BlockAlgebra":
-        return BlockAlgebra(
-            self.names,
-            {k: c.specialize(theta) for k, c in self.comm.items()},
-            self.bidegrees,
-        )
-
 
 class DirectSum:
     """Finite direct sum of block algebras; monomials are (block, exponents)."""
@@ -203,9 +196,6 @@ class DirectSum:
             and len(self.blocks) == len(other.blocks)
             and all(map(same_ambient, self.blocks, other.blocks))
         )
-
-    def specialize(self, theta) -> "DirectSum":
-        return DirectSum([b.specialize(theta) for b in self.blocks], self.block_names)
 
 
 # ---------------------------------------------------------------------------

@@ -37,3 +37,17 @@ def test_claimed_metric_of_a_record():
     row = next(line for line in lines[at:] if line.split()[0] == "query_p50_ms")
     assert re.fullmatch(r" +query_p50_ms +0\.0378 -> 0\.0318 +change/parent 0\.841  better 10/10", row), row
     assert any(line.split()[:2] == ["verify_s", "raw"] for line in lines)
+
+
+def test_quiet_when_the_reader_stops():
+    # four copies of every record print more than a pipe holds, so the tool
+    # is still writing when the reader closes its end, as `| head -n 1` does
+    paths = [str(p) for p in ROOT.glob("BENCH_*.json")] * 4
+    proc = subprocess.Popen([sys.executable, str(TOOL), *paths], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, cwd=ROOT)
+    assert proc.stdout.readline().startswith("BENCH_")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert stderr == ""

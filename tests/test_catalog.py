@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -90,12 +91,18 @@ class TestBuilders:
         assert len(build("torus", theta).b_presentation.relations) == count
 
 
+def _at(theta, k):
+    """e(k t), or its value at ``theta``."""
+    phase = Scalar.exponential(ThetaLin(0, k))
+    return phase if theta is None else phase.specialize(theta)
+
+
 class TestTorusHelpers:
     def test_torus_block_phase(self):
-        blk = torus_block()
-        U, V = blk.gen("U"), blk.gen("V")
-        lam = Scalar.exponential(ThetaLin(0, 1))
-        assert (U * V - V * U * lam).is_zero()
+        for theta in (None, Fraction(1, 2), Fraction(1, 3)):
+            blk = torus_block(theta)
+            U, V = blk.gen("U"), blk.gen("V")
+            assert (U * V - V * U * _at(theta, 1)).is_zero(), theta
 
     def test_commutative_torus(self):
         blk = commutative_torus()
@@ -103,12 +110,13 @@ class TestTorusHelpers:
         assert (U * V - V * U).is_zero()
 
     def test_eight_block_twists(self):
-        ds = eight_block_model()
-        lam2 = Scalar.exponential(ThetaLin(0, 2))
-        for k in range(8):
-            u1, u2 = ds.block_gen(k, 0), ds.block_gen(k, 1)
-            comm = u1 * u2 - u2 * u1 * (lam2 if k % 2 else Scalar.one())
-            assert comm.is_zero(), f"block {k + 1}"
+        for theta in (None, Fraction(1, 2), Fraction(1, 3)):
+            ds = eight_block_model(theta)
+            lam2 = _at(theta, 2)
+            for k in range(8):
+                u1, u2 = ds.block_gen(k, 0), ds.block_gen(k, 1)
+                comm = u1 * u2 - u2 * u1 * (lam2 if k % 2 else Scalar.one())
+                assert comm.is_zero(), f"block {k + 1} at theta {theta}"
 
     def test_family_elements_are_partial_isometries(self):
         ds = eight_block_model()
@@ -321,14 +329,41 @@ class TestOneTorusPresentation:
             row[0].split(": ")[1] for row in self.GOLDEN_HOM[1:]]
 
 
+class TestBenchmarkMemberInputs:
+    """The benchmark draws its seeded membership texts from each scenario's
+    ``member_relations`` (perfbench/workloads.py ``_ideal_element``), so a
+    change to how they are written changes what the benchmark times."""
+
+    WHY = "the benchmark's membership texts are drawn from these relations: its inputs changed"
+
+    @pytest.mark.parametrize("theta, exchange", [
+        (None, ["-e(t) * V U + U V", "V* U* - e(-t) * U* V*"]),
+        (Fraction(1, 3), ["-e(1/3) * V U + U V", "V* U* + (1 + e(1/3)) * U* V*"]),
+    ])
+    def test_torus(self, theta, exchange):
+        sc = build("torus", theta)
+        got = (sc.member_cap, [r.render() for r in sc.member_relations])
+        assert got == (8, ["U U* - 1", "U* U - 1", "V V* - 1", "V* V - 1", *exchange]), self.WHY
+
+    @pytest.mark.parametrize("name, cap, count, digest", [
+        ("circle", 6, 6, "982aed33cc1542143c50b0c20c9c86cfa01f8703e7fe47ca8b2e75350d71ae7e"),
+        ("sphere", 2, 108, "844d9cffc0a61f37607acda2667f2374d3b923fb16a6afc2c9d4296c7acffa5c"),
+    ])
+    def test_circle_and_sphere(self, name, cap, count, digest):
+        sc = build(name)
+        renders = [r.render() for r in sc.member_relations]
+        got = (sc.member_cap, len(renders), hashlib.sha256("\n".join(renders).encode()).hexdigest())
+        assert got == (cap, count, digest), self.WHY
+
+
 class TestVanishingRows:
     def test_first_survivor_fails_the_row(self):
         alg = FreeAlgebra(["a", "b"])
         a, b = alg.gen("a"), alg.gen("b")
         report = Report("t")
         kill_a = lambda r: substitute(r, {"a": Element.zero(alg), "b": b})
-        catalog._all_vanish(report, "kills", [a, a * a, b - a, b * a], kill_a, " vanish")
-        catalog._all_vanish(report, "kills-a", [a, a * b], kill_a, " vanish")
+        report.run("kills", "model", catalog._all_vanish([a, a * a, b - a, b * a], kill_a, " vanish"))
+        report.run("kills-a", "model", catalog._all_vanish([a, a * b], kill_a, " vanish"))
         assert [(r.name, r.mode, r.status, r.detail) for r in report.results] == [
             ("kills", "model", "FAIL", "relation 2: b - a"),
             ("kills-a", "model", "PASS", "2 relations vanish"),
@@ -341,7 +376,7 @@ class TestDeformationSuite:
         # the suite still reports every row
         sc = build("deformation")
         for name in ("check_deformed_hom", "check_haar_twist_invariance", "check_twist_identities"):
-            monkeypatch.setattr(catalog, name, lambda *args, report, **kwargs: report)
+            monkeypatch.setattr(catalog, name, lambda *args, **kwargs: Report("stub"))
         sc.haar_weights = lambda: ("PASS", "stub")
 
         def coherence(c, theta=None, max_len=6):

@@ -446,7 +446,7 @@ class TestDeformationIdentities:
         monkeypatch.setattr(graded, "SIGMA", 1)
         act, J = _torus_action(Fraction(1, 3)), graded.j_torus()
         report = check_twist_identities(act, J, degree_bound=1)
-        check_deformed_hom(act, J, degree_bound=1, report=report)
+        report.extend(check_deformed_hom(act, J, degree_bound=1))
         assert [(r.name, r.status, r.detail) for r in report.results] == [
             ("twist-interchange", FAIL, "pair [block2: U21^-1 U22^-1], [block2: U21^-1]"),
             ("right-character-grading", PASS, "9 monomials"),

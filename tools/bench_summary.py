@@ -14,6 +14,7 @@ With no FILE, the ``BENCH_*.json`` files at the root of the repository.
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -44,8 +45,14 @@ def summary(path: Path) -> list:
 
 
 def main(argv: list) -> int:
-    for path in [Path(a) for a in argv] or records():
-        print("\n".join(summary(path)))
+    try:
+        for path in [Path(a) for a in argv] or records():
+            print("\n".join(summary(path)))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader stopped early, as ``| head`` does
+        # nothing more is read; send what is still buffered nowhere, so the
+        # flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 
